@@ -66,9 +66,9 @@ pub enum Error {
         /// What happened, for the log line.
         detail: String,
     },
-    /// The durable session store failed: an I/O error on a log or
-    /// snapshot file, a malformed on-disk document, or a store operation
-    /// addressed to a session it does not manage.
+    /// The durable session store failed: an I/O error on a session log,
+    /// a malformed log document, or a store operation addressed to a
+    /// session it does not manage.
     Store {
         /// What happened (I/O errors are rendered in, since
         /// `std::io::Error` is neither `Clone` nor `PartialEq`).

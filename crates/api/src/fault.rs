@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is a seeded, schedule-driven chaos source threaded
 //! behind the existing I/O seams: the counted socket halves in
-//! [`crate::net`] and the log/snapshot write paths in [`crate::store`].
+//! [`crate::net`] and the log write and fsync paths in [`crate::store`].
 //! Every seam consults the plan through an `Option<Arc<FaultPlan>>`; when
 //! the option is `None` (the default everywhere) the check is a single
 //! branch on a niche-optimized pointer — no allocation, no lock, no rand
@@ -10,7 +10,7 @@
 //! with the hooks compiled in but disarmed.
 //!
 //! Determinism has two layers. Each injection *site* (network read,
-//! network write, log write, fsync, snapshot write) owns its own
+//! network write, log write, fsync) owns its own
 //! sub-generator, seeded from the plan seed and a fixed per-site tag, so
 //! the fault sequence seen by one site does not depend on how the other
 //! sites' calls interleave across threads. On top of that, an optional
@@ -51,14 +51,12 @@ pub struct FaultRates {
     /// Per-I/O-call chance (‰) of injected latency (a short sleep) before
     /// the call proceeds, reordering timing without corrupting data.
     pub delay: u32,
-    /// Per-log-append chance (‰) of a torn write: a strict prefix of the
-    /// record reaches the file, then the append fails.
+    /// Per-log-record chance (‰) of a torn write — event and checkpoint
+    /// records alike: a strict prefix of the record reaches the file,
+    /// then the append fails.
     pub torn_log_write: u32,
     /// Per-fsync chance (‰) of a failed `sync_all`.
     pub fsync_fail: u32,
-    /// Per-snapshot-write chance (‰) of a disk-full failure before the
-    /// temp file is renamed into place.
-    pub snapshot_full: u32,
 }
 
 impl FaultRates {
@@ -73,7 +71,6 @@ impl FaultRates {
             delay: 30,
             torn_log_write: 40,
             fsync_fail: 40,
-            snapshot_full: 40,
         }
     }
 }
@@ -115,7 +112,6 @@ pub struct FaultPlan {
     net_write: Site,
     log_write: Site,
     fsync: Site,
-    snapshot: Site,
 }
 
 impl fmt::Debug for FaultPlan {
@@ -171,7 +167,6 @@ impl FaultPlan {
             net_write: Site::new(seed, 2),
             log_write: Site::new(seed, 3),
             fsync: Site::new(seed, 4),
-            snapshot: Site::new(seed, 5),
         }
     }
 
@@ -263,12 +258,6 @@ impl FaultPlan {
         self.fsync.roll() < self.rates.fsync_fail && self.spend()
     }
 
-    /// Returns `true` if this snapshot temp-file write should fail with
-    /// disk-full.
-    pub fn on_snapshot_write(&self) -> bool {
-        self.snapshot.roll() < self.rates.snapshot_full && self.spend()
-    }
-
     /// The `io::Error` used for injected connection resets.
     pub fn reset_error() -> io::Error {
         io::Error::new(io::ErrorKind::ConnectionReset, "injected connection reset")
@@ -356,7 +345,6 @@ mod tests {
         let plan = FaultPlan::new(1234, FaultRates::default());
         assert_eq!(count_faults(&plan, 2000), 0);
         assert!(!plan.on_fsync());
-        assert!(!plan.on_snapshot_write());
         assert_eq!(plan.on_log_write(32), LogFault::None);
         assert_eq!(plan.injected(), 0);
     }

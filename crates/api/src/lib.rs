@@ -103,7 +103,7 @@ pub use query::{CoordReport, FastRunReport, Query, Response, WitnessReport};
 pub use service::{SessionId, ZigzagService};
 pub use session::{AppendReport, BatchSession, Session, SessionBackend, StreamSession};
 pub use stats::{LatencyHistogram, StatsReport, StoreCounters, TransportCounters, LATENCY_BUCKETS};
-pub use store::{FsyncPolicy, Recovered, SessionSnapshot, SessionStore, StoreConfig};
+pub use store::{FsyncPolicy, Recovered, SessionLog, SessionStore, StoreConfig};
 pub use supervisor::SessionSupervisor;
 
 // Re-exported so facade callers configure sessions without importing the

@@ -100,20 +100,20 @@ pub enum Query {
         /// The queries, answered in order.
         Vec<Query>,
     ),
-    /// Serializes the addressed stream session's full state — run prefix,
-    /// configuration, coordination progress, warm-observer manifest —
-    /// into a portable [`crate::store::SessionSnapshot`]: the log-shipping
-    /// half of live migration. Service-level like [`Query::Stats`]
-    /// (cannot nest in a batch or hit a bare session), but the frame's
-    /// session line addresses the session to export.
+    /// Writes the addressed stream session out as a portable
+    /// [`crate::store::SessionLog`] — its event log ending in a checkpoint
+    /// of its coordination progress and warm-observer manifest: the
+    /// log-shipping half of live migration. Service-level like
+    /// [`Query::Stats`] (cannot nest in a batch or hit a bare session),
+    /// but the frame's session line addresses the session to export.
     Export,
-    /// Installs a shipped [`crate::store::SessionSnapshot`] as a *new*
-    /// stream session of the receiving service and answers its id: the
+    /// Installs a shipped [`crate::store::SessionLog`] as a *new* stream
+    /// session of the receiving service and answers its id: the
     /// receiving half of live migration. Service-level; the frame's
     /// session line is used for worker routing only.
     Import(
-        /// The snapshot to install.
-        Box<crate::store::SessionSnapshot>,
+        /// The log document to install.
+        Box<crate::store::SessionLog>,
     ),
     /// Appends one event to the addressed stream session over the wire.
     /// Service-level like [`Query::Export`] (cannot nest in a batch or
@@ -205,8 +205,8 @@ pub enum Response {
         /// The answers, in query order.
         Vec<Response>,
     ),
-    /// Answer to [`Query::Export`]: the serialized session.
-    Exported(Box<crate::store::SessionSnapshot>),
+    /// Answer to [`Query::Export`]: the session's log document.
+    Exported(Box<crate::store::SessionLog>),
     /// Answer to [`Query::Import`]: the id the receiving service
     /// assigned to the installed session.
     Imported(crate::service::SessionId),

@@ -264,8 +264,8 @@ pub(crate) fn respond_into(
             if matches!(query, Query::Recover) {
                 return Ok(Response::Recovered(service.recover_routed()?));
             }
-            if let Query::Import(snap) = query {
-                return Ok(Response::Imported(service.import(*snap)?));
+            if let Query::Import(log) = query {
+                return Ok(Response::Imported(service.import(*log)?));
             }
             let session = match memo.get(&id.raw()) {
                 Some(session) => Arc::clone(session),

@@ -23,7 +23,7 @@ use crate::error::Error;
 use crate::query::{Query, Response};
 use crate::session::{AppendReport, BatchSession, Session, StreamSession};
 use crate::stats::{LatencyRecorder, StatsReport, StoreStats, TransportCounters};
-use crate::store::SessionSnapshot;
+use crate::store::SessionLog;
 
 /// An opaque handle naming one open session of a [`ZigzagService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -73,7 +73,7 @@ struct Metrics {
 
 /// The durable-routing hook a [`crate::SessionSupervisor`] registers on
 /// its service: wire-level appends on store-managed sessions go through
-/// the store (log + fsync + snapshot cadence) instead of bypassing
+/// the store (log + fsync + checkpoint cadence) instead of bypassing
 /// durability, and [`Query::Recover`] sweeps the store directory.
 ///
 /// The service holds only a [`Weak`] reference — the supervisor owns the
@@ -197,39 +197,40 @@ impl ZigzagService {
         &self.metrics.store
     }
 
-    /// Serializes a live stream session into a portable
-    /// [`SessionSnapshot`] — the sending half of live migration (and the
-    /// in-process form of [`Query::Export`]). The session keeps serving;
-    /// the snapshot is a consistent point-in-time copy.
+    /// Writes a live stream session out as a portable [`SessionLog`]
+    /// ending in a checkpoint — the sending half of live migration (and
+    /// the in-process form of [`Query::Export`]). The session keeps
+    /// serving; the document is a consistent point-in-time copy.
     ///
     /// # Errors
     ///
     /// Fails on unknown or batch sessions, or if the session is poisoned.
-    pub fn export(&self, id: SessionId) -> Result<SessionSnapshot, Error> {
+    pub fn export(&self, id: SessionId) -> Result<SessionLog, Error> {
         let session = self.session(id)?;
         let Session::Stream(s) = &*session else {
             return Err(Error::NotStreaming { id });
         };
-        let snap = SessionSnapshot::of_frozen(s.config().clone(), s.freeze()?);
+        let log = s.with_checkpoint(|run, ck| SessionLog::write(s.config(), run, &ck))?;
         self.metrics
             .store
             .migrations
             .fetch_add(1, Ordering::Relaxed);
-        Ok(snap)
+        Ok(log)
     }
 
-    /// Installs a shipped [`SessionSnapshot`] as a new stream session of
-    /// this service, answering the handle it was assigned — the
-    /// receiving half of live migration (and the in-process form of
-    /// [`Query::Import`]). The restored session answers every query
+    /// Installs a shipped [`SessionLog`] as a new stream session of this
+    /// service, answering the handle it was assigned — the receiving
+    /// half of live migration (and the in-process form of
+    /// [`Query::Import`]). It takes the parse-and-restore path crash
+    /// recovery takes. The restored session answers every query
     /// byte-identically to the exported one and accepts further appends.
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::Store`] on an internally inconsistent
-    /// snapshot, or propagates the engine error if its run is malformed.
-    pub fn import(&self, snap: SessionSnapshot) -> Result<SessionId, Error> {
-        let session = crate::store::restore(snap)?;
+    /// Fails with [`Error::Store`] if an event of the document does not
+    /// replay.
+    pub fn import(&self, log: SessionLog) -> Result<SessionId, Error> {
+        let session = log.restore()?;
         self.metrics
             .store
             .migrations
@@ -392,8 +393,8 @@ impl ZigzagService {
         if matches!(query, Query::Export) {
             return Ok(Response::Exported(Box::new(self.export(id)?)));
         }
-        if let Query::Import(snap) = query {
-            return Ok(Response::Imported(self.import((**snap).clone())?));
+        if let Query::Import(log) = query {
+            return Ok(Response::Imported(self.import((**log).clone())?));
         }
         // Append/EventCount/Recover are service-level for the same reason:
         // appends route through the attached durable store, the event

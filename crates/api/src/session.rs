@@ -36,12 +36,13 @@ use zigzag_coord::StreamDriver;
 use zigzag_core::bounds_graph::BoundsGraph;
 use zigzag_core::extended_graph::MessageIndex;
 use zigzag_core::incremental::IncrementalEngine;
-use zigzag_core::knowledge::{ObserverCache, ObserverMode, ObserverState};
+use zigzag_core::knowledge::{ObserverCache, ObserverState};
 use zigzag_core::KnowledgeEngine;
 
 use crate::config::SessionConfig;
 use crate::error::Error;
 use crate::query::{CoordReport, FastRunReport, Query, Response, WitnessReport};
+use crate::store::Checkpoint;
 
 /// What one appended event meant for a stream session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,24 +349,6 @@ impl SessionBackend for StreamInner {
     }
 }
 
-/// A point-in-time copy of a stream session's durable state — the raw
-/// material of a [`crate::store::SessionSnapshot`], extracted atomically
-/// by [`StreamSession::freeze`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrozenStream {
-    /// The grown run prefix (context included).
-    pub run: Run,
-    /// Events appended so far (one per non-initial node).
-    pub events: u64,
-    /// The coordination driver's earliest known `B`-node, if any.
-    pub first_known: Option<NodeId>,
-    /// The coordination driver's trigger node `σ_C`, if seen.
-    pub sigma_c: Option<NodeId>,
-    /// The `(observer, mode)` key of every warm analysis state — the
-    /// manifest recovery uses to pre-build the same warm set.
-    pub observers: Vec<(NodeId, ObserverMode)>,
-}
-
 /// A stream session: a live, append-only run wrapped around an
 /// [`IncrementalEngine`] (plus a [`StreamDriver`] when a coordination
 /// spec is configured), under the session's [`CachePolicy`]. The engine
@@ -401,7 +384,7 @@ impl StreamSession {
 
     /// Resumes a session over an engine already holding a recovered (or
     /// imported) run prefix, seeding the coordination progress and the
-    /// append counter a snapshot recorded — the restore path of
+    /// append counter a checkpoint recorded — the restore path of
     /// [`crate::store`]. The engine's observer cap is (re)applied from
     /// `config`; `events` seeds the compaction cadence so periodic
     /// maintenance continues on the same schedule as an uninterrupted
@@ -436,29 +419,33 @@ impl StreamSession {
         &self.config
     }
 
-    /// A point-in-time copy of everything a durable snapshot (or a
-    /// migration export) needs, extracted under **one** read-lock
-    /// acquisition so the run prefix, coordination progress and
-    /// warm-observer manifest are mutually consistent even under
-    /// concurrent appends.
+    /// Runs `f` over the grown run and a [`Checkpoint`] of the session's
+    /// derived state — event count, coordination progress, warm-observer
+    /// manifest — all read under **one** read-lock acquisition, so they
+    /// are mutually consistent even under concurrent appends.
     ///
     /// # Errors
     ///
     /// Fails with [`Error::Internal`] if the session is poisoned.
-    pub fn freeze(&self) -> Result<FrozenStream, Error> {
+    pub(crate) fn with_checkpoint<T>(
+        &self,
+        f: impl FnOnce(&Run, Checkpoint) -> T,
+    ) -> Result<T, Error> {
         let inner = self.read()?;
         let engine = inner.engine();
         let (first_known, sigma_c) = match &*inner {
             StreamInner::Plain(_) => (None, None),
             StreamInner::Coord(driver) => (driver.first_known(), driver.sigma_c()),
         };
-        Ok(FrozenStream {
-            run: engine.run().clone(),
-            events: engine.event_count() as u64,
-            first_known,
-            sigma_c,
-            observers: engine.observer_keys(),
-        })
+        Ok(f(
+            engine.run(),
+            Checkpoint {
+                events: engine.event_count() as u64,
+                first_known,
+                sigma_c,
+                observers: engine.observer_keys(),
+            },
+        ))
     }
 
     /// Unlike the session's interior `Mutex`es, a poisoned stream lock is

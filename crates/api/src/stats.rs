@@ -128,9 +128,10 @@ impl TransportStats {
 pub struct StoreCounters {
     /// Event records appended to session logs.
     pub events_logged: u64,
-    /// Bytes written to session logs and snapshots (headers included).
+    /// Bytes written to session logs (headers and checkpoint records
+    /// included).
     pub bytes_written: u64,
-    /// Session snapshots written (cadence-triggered and explicit).
+    /// Checkpoint records written (cadence-triggered and explicit).
     pub snapshots: u64,
     /// Sessions recovered from disk ([`crate::store::SessionStore::recover`]).
     pub recoveries: u64,
@@ -303,7 +304,7 @@ pub struct StatsReport {
     /// zero when the report was answered in-process.
     pub transport: TransportCounters,
     /// Durability counters of the answering service: events logged,
-    /// bytes persisted, snapshots, recoveries and migrations (see
+    /// bytes persisted, checkpoints, recoveries and migrations (see
     /// [`StoreCounters`]). All zero when no [`crate::store::SessionStore`]
     /// is attached and no migration was served.
     pub store: StoreCounters,

@@ -1,87 +1,105 @@
-//! Durable sessions: per-session event logs, snapshots, crash recovery
-//! and live migration.
+//! Durable sessions: one append-only event log per session, checkpoint
+//! records, crash recovery and live migration.
 //!
 //! Every stream session of a [`ZigzagService`] can be made **durable** by
 //! routing its appends through a [`SessionStore`]: each appended
 //! [`RunEvent`] is written as one self-delimiting record to an
 //! append-only per-session log, and every
-//! [`StoreConfig::snapshot_every`] appends the session's full state —
-//! run prefix, configuration, coordination progress, warm-observer
-//! manifest — is serialized into an atomically-replaced snapshot file.
-//! After a crash, [`SessionStore::recover`] rebuilds the session from
-//! snapshot + log tail (or from the log alone), **byte-identical** to the
-//! uninterrupted session at the last durable append — pinned at every
+//! [`StoreConfig::snapshot_every`] appends a *checkpoint* record follows
+//! it. Under the full-information protocol a process's state is its local
+//! history, so the log already is the session; a checkpoint carries only
+//! the derived state worth keeping — the event count, Protocol 2's
+//! progress (`first_known`, `σ_C`) and the warm-observer manifest — and
+//! never copies the prefix. After a crash, [`SessionStore::recover`]
+//! rebuilds the session in one pass over the log, **byte-identical** to
+//! the uninterrupted session at the last durable append — pinned at every
 //! append boundary by the recovery oracle tier (`tests/oracle.rs`).
 //!
-//! The same snapshot document doubles as the **migration envelope**:
-//! [`crate::Query::Export`] serializes a live session into a
-//! [`SessionSnapshot`], [`crate::Query::Import`] installs one as a new
-//! session of the receiving service — in-process or between two live
-//! [`crate::net::NetServer`] processes over the ordinary wire encoding.
-//! That is the router tier's rebalancing primitive.
+//! The same document is the **migration envelope**:
+//! [`crate::Query::Export`] writes a live session out as a [`SessionLog`]
+//! that ends in a checkpoint, and [`crate::Query::Import`] installs one
+//! as a new session of the receiving service through the same
+//! parse-and-restore path recovery takes — in-process or between two
+//! live [`crate::net::NetServer`] processes over the ordinary wire
+//! encoding. That is the router tier's rebalancing primitive.
 //!
-//! # On-disk formats
+//! # On-disk format
 //!
-//! Both files are line-oriented text with versioned headers, decoded with
-//! the same hostile-input discipline as [`crate::wire`] (counts validated
-//! against the data actually present, no panics on arbitrary bytes):
+//! One line-oriented text file per session, `<name>.log`, with a
+//! versioned header, decoded with the same hostile-input discipline as
+//! [`crate::wire`] (counts validated against the data actually present,
+//! no panics on arbitrary bytes):
 //!
 //! ```text
-//! zigzag-log v1                 zigzag-snap v1
-//! probe include                 events 12
-//! cache . 32                    probe include
-//! spec late 4 1 2 0 go a b      cache . 32
-//! run 5                         spec late 4 1 2 0 go a b
-//! zigzag-run v1                 coord 2 3 0 1
-//! horizon 40                    observers 1
-//! proc 0 C                      obs 2 3 full
-//! proc 1 A                      run 31
-//! chan 0 1 2 5                  zigzag-run v1
-//! ev 0 3 1 ego 1 1 8 0          ...(the skeleton document)
-//! ev 1 8 1 m0 0 1 act           ev 0 3 1 ego 1 1 8 0
-//!                               ...(`events` many `ev` lines)
+//! zigzag-log v1
+//! probe include
+//! cache . 32
+//! spec late 4 1 2 0 go a b
+//! run 5
+//! zigzag-run v1
+//! horizon 40
+//! proc 0 C
+//! proc 1 A
+//! chan 0 1 2 5
+//! ev 0 3 1 ego 1 1 8 0
+//! ev 1 8 1 m0 0 1 act
+//! ck 2 . . 0 1 1 1 1 full
 //! ```
 //!
-//! Both headers embed the session's *skeleton* run (context + horizon,
-//! no events) through `bcm::codec`, then carry one `ev` line per event
-//! ([`zigzag_bcm::codec::encode_event`]) — the log appends them as they
-//! arrive; the snapshot stores the whole prefix as its `events`-counted
-//! block, decoded by replaying the lines onto the skeleton (the same
-//! exact reconstruction the append path itself uses). A torn final
-//! record, a truncated tail, non-UTF-8 bytes or an overclaimed count
-//! never panic: recovery keeps the longest prefix of records that parse
-//! *and* replay, and truncates the log back to exactly that prefix
-//! before appending resumes.
+//! The header embeds the session's configuration and its *skeleton* run
+//! (context + horizon, no events) through `bcm::codec`. Every later line
+//! is one record:
+//!
+//! * `ev …` — one appended event ([`zigzag_bcm::codec::encode_event`]);
+//! * `ck <events> <first_known> <σ_C> <k> <observer>…` — a checkpoint:
+//!   how many `ev` records precede it, the coordination progress (a node
+//!   is `<proc> <index>`, absent is `. .`), then `k` observer entries of
+//!   `<proc> <index> <full|exclude>`.
+//!
+//! A torn final record, a truncated tail, non-UTF-8 bytes or an
+//! overclaimed count never panic: recovery keeps the longest prefix of
+//! records that parse *and* replay, and truncates the log back to exactly
+//! that prefix before appending resumes. A checkpoint is derived state,
+//! so one that does not hold — it does not decode, its count disagrees
+//! with the `ev` records before it, or it names a node outside that
+//! prefix (or coordination progress off its spec's processes) — drops no
+//! events: it is skipped, and recovery restores from the last earlier
+//! checkpoint that holds, or replays the whole log.
 //!
 //! # Fsync policy
 //!
 //! By default ([`FsyncPolicy::Never`]) records are written (one `write`
-//! per append) but never explicitly synced: a crash of the *process*
+//! per record) but never explicitly synced: a crash of the *process*
 //! loses nothing the kernel accepted, a crash of the *host* may lose the
 //! tail — which recovery then trims to the last good record.
-//! [`FsyncPolicy::OnSnapshot`] syncs log and snapshot at every snapshot
-//! point; [`FsyncPolicy::Always`] syncs the log after every append.
+//! [`FsyncPolicy::OnCheckpoint`] syncs the log at every checkpoint
+//! record; [`FsyncPolicy::Always`] syncs it after every record.
+//!
+//! A synced checkpoint record protects exactly the events a separate
+//! snapshot file would. Such a file could outlive a log that lost a
+//! suffix only if the log were synced less often than the snapshot; but a
+//! snapshot must never claim events its log may still lose, so its writer
+//! has to sync the log first — and that sync is all a checkpoint record
+//! needs.
 //!
 //! # Recovery speed
 //!
-//! Replaying a long log pays the full per-append incremental maintenance
-//! (and, with a coordination spec, a knowledge evaluation at every
-//! `B`-node). Snapshot restore instead batch-builds the engine over the
-//! prefix in one pass ([`IncrementalEngine::from_prefix`]), skips
-//! decoding the covered log records entirely (a surface scan suffices),
-//! and replays only the tail since the last snapshot. Both paths share
-//! the same floor — parsing one `ev` line and validating one append per
-//! event — and this engine's incremental replay is already within ~2× of
-//! that floor, so snapshots buy a measured ~1.2× on recovery time, not
-//! an order of magnitude. Their real value is bounding *work after the
-//! snapshot* (the decoded tail) and surviving torn or lost log suffixes;
-//! `benches/store.rs` prices both paths and gates that restore never
-//! loses to replay.
+//! Replaying a long log through the append path pays the full per-append
+//! incremental maintenance (and, with a coordination spec, a knowledge
+//! evaluation at every `B`-node). From a checkpoint, recovery instead
+//! replays the covered events onto a bare [`StreamingRun`], batch-builds
+//! the engine over that prefix in one pass
+//! ([`IncrementalEngine::from_prefix`]), re-warms the manifest, and sends
+//! only the tail through the append path. Both paths share the same floor
+//! — decoding one `ev` line and validating one append per event — so a
+//! checkpoint bounds *work after the checkpoint*, not the decode;
+//! `benches/store.rs` prices both paths and gates that checkpoint
+//! recovery never loses to full replay.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -97,12 +115,10 @@ use crate::config::{CachePolicy, SessionConfig};
 use crate::error::Error;
 use crate::fault::{FaultPlan, LogFault};
 use crate::service::{SessionId, ZigzagService};
-use crate::session::{AppendReport, FrozenStream, Session, StreamSession};
+use crate::session::{AppendReport, Session, StreamSession};
 
 /// Version header of the per-session event log.
 pub const LOG_HEADER: &str = "zigzag-log v1";
-/// Version header of the session snapshot / migration document.
-pub const SNAP_HEADER: &str = "zigzag-snap v1";
 
 fn bad(line: usize, detail: impl Into<String>) -> Error {
     Error::Store {
@@ -123,9 +139,9 @@ pub enum FsyncPolicy {
     /// record, durability bounded by the kernel's writeback.
     #[default]
     Never,
-    /// Sync the log and the snapshot file at every snapshot point.
-    OnSnapshot,
-    /// Sync the log after every append (and files at snapshot points).
+    /// Sync the log at every checkpoint record.
+    OnCheckpoint,
+    /// Sync the log after every record (and the header).
     Always,
 }
 
@@ -133,28 +149,13 @@ pub enum FsyncPolicy {
 /// [`CachePolicy`]'s builder style. Like the cache knobs, everything
 /// here is policy, not semantics: recovery is byte-identical at any
 /// setting (the knobs trade write amplification and recovery time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreConfig {
-    /// Write a snapshot every this many appends (`None` = never, the
-    /// default: recovery replays the whole log).
+    /// Append a checkpoint record every this many appends (`None` =
+    /// never, the default: recovery replays the whole log).
     pub snapshot_every: Option<u64>,
     /// When to `fsync`; see [`FsyncPolicy`].
     pub fsync: FsyncPolicy,
-    /// Whether recovery pre-builds the observer states named by the
-    /// snapshot's warm-set manifest (the default), so the recovered
-    /// session answers its working set warm like the one that crashed.
-    /// Cache warmth never changes answers.
-    pub warm_observers: bool,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            snapshot_every: None,
-            fsync: FsyncPolicy::default(),
-            warm_observers: true,
-        }
-    }
 }
 
 impl StoreConfig {
@@ -163,7 +164,8 @@ impl StoreConfig {
         StoreConfig::default()
     }
 
-    /// Enables periodic snapshots (builder style; clamped to ≥ 1).
+    /// Enables periodic checkpoint records (builder style; clamped to
+    /// ≥ 1).
     pub fn snapshot_every(mut self, appends: u64) -> Self {
         self.snapshot_every = Some(appends.max(1));
         self
@@ -174,53 +176,111 @@ impl StoreConfig {
         self.fsync = policy;
         self
     }
-
-    /// Sets whether recovery re-warms snapshotted observer states
-    /// (builder style).
-    pub fn warm_observers(mut self, warm: bool) -> Self {
-        self.warm_observers = warm;
-        self
-    }
 }
 
-/// A portable, serializable copy of one stream session's full state —
-/// what a snapshot file holds and what [`crate::Query::Export`] /
-/// [`crate::Query::Import`] ship between services.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionSnapshot {
-    /// The session's configuration (cache policy, probe semantics,
-    /// coordination spec).
-    pub config: SessionConfig,
-    /// Events appended so far; always equals the number of non-initial
-    /// nodes of [`SessionSnapshot::run`] (enforced on decode/restore).
-    pub events: u64,
+/// The derived state one checkpoint record carries; see the
+/// [module docs](self).
+#[derive(Debug)]
+pub(crate) struct Checkpoint {
+    /// Events appended before the checkpoint.
+    pub(crate) events: u64,
     /// The coordination driver's earliest known `B`-node, if any.
-    pub first_known: Option<NodeId>,
+    pub(crate) first_known: Option<NodeId>,
     /// The coordination driver's trigger node `σ_C`, if seen.
-    pub sigma_c: Option<NodeId>,
-    /// The `(observer, mode)` warm-set manifest.
-    pub observers: Vec<(NodeId, ObserverMode)>,
-    /// The grown run prefix, context included.
-    pub run: Run,
+    pub(crate) sigma_c: Option<NodeId>,
+    /// The `(observer, mode)` key of every warm analysis state.
+    pub(crate) observers: Vec<(NodeId, ObserverMode)>,
 }
 
-impl SessionSnapshot {
-    /// Assembles a snapshot from a frozen session state and its config.
-    pub(crate) fn of_frozen(config: SessionConfig, frozen: FrozenStream) -> Self {
-        SessionSnapshot {
-            config,
-            events: frozen.events,
-            first_known: frozen.first_known,
-            sigma_c: frozen.sigma_c,
-            observers: frozen.observers,
-            run: frozen.run,
+/// A complete `zigzag-log v1` document — what [`crate::Query::Export`]
+/// ships and [`crate::Query::Import`] installs. An exported document ends
+/// in a checkpoint; a shipped one is checked to decode when its wire
+/// frame is decoded, and to replay when it is imported.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionLog {
+    text: String,
+    events: u64,
+}
+
+impl SessionLog {
+    /// Validates a shipped document: the header and every record must
+    /// decode, and the document must end in a complete line. Whether the
+    /// events replay is checked when the document is imported.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`Error::Store`] on a bad header, a record that does
+    /// not decode, or a torn final line.
+    pub(crate) fn parse(text: String) -> Result<Self, Error> {
+        let log = parse_log(text.as_bytes())?;
+        if log.good_len < text.len() as u64 {
+            return Err(Error::Store {
+                detail: format!("log document breaks off after byte {}", log.good_len),
+            });
+        }
+        Ok(SessionLog {
+            events: log.events.len() as u64,
+            text,
+        })
+    }
+
+    /// Writes session state out as a document: header, one `ev` record
+    /// per event of `run` in cursor order, then the checkpoint.
+    pub(crate) fn write(config: &SessionConfig, run: &Run, ck: &Checkpoint) -> Self {
+        let mut text = header_text(config, run.context_arc(), run.horizon());
+        for ev in RunCursor::new(run) {
+            text.push_str(&encode_event(&ev));
+            text.push('\n');
+        }
+        text.push_str(&checkpoint_line(ck));
+        SessionLog {
+            text,
+            events: ck.events,
         }
     }
+
+    /// The document text (always newline-terminated).
+    pub(crate) fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// Number of `ev` records in the document.
+    pub fn events(&self) -> u64 {
+        self.events
+    }
+
+    /// Builds the live session this document describes — the receiving
+    /// half of migration.
+    pub(crate) fn restore(&self) -> Result<StreamSession, Error> {
+        let log = parse_log(self.text.as_bytes())?;
+        let (session, restored, replayed) = rebuild(&log);
+        let applied = restored.unwrap_or(0) + replayed;
+        if applied < log.events.len() {
+            return Err(Error::Store {
+                detail: format!("log document event {} does not replay", applied + 1),
+            });
+        }
+        Ok(session)
+    }
 }
 
 // ---------------------------------------------------------------------
-// Text encoding shared by the log header and the snapshot document.
+// Text encoding of the header and the checkpoint record.
 // ---------------------------------------------------------------------
+
+/// The log header: version line, config lines, embedded skeleton run.
+fn header_text(config: &SessionConfig, context: Arc<Context>, horizon: Time) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "{LOG_HEADER}");
+    push_config_lines(&mut out, config);
+    let skeleton = codec::encode(&Run::skeleton(context, horizon));
+    let _ = writeln!(out, "run {}", skeleton.lines().count());
+    out.push_str(&skeleton);
+    if !skeleton.ends_with('\n') {
+        out.push('\n');
+    }
+    out
+}
 
 fn push_config_lines(out: &mut String, config: &SessionConfig) {
     let probe = match config.probe {
@@ -259,6 +319,83 @@ fn push_config_lines(out: &mut String, config: &SessionConfig) {
     }
 }
 
+/// One `ck` record, newline included.
+fn checkpoint_line(ck: &Checkpoint) -> String {
+    let mut out = format!("ck {}", ck.events);
+    for n in [ck.first_known, ck.sigma_c] {
+        match n {
+            Some(n) => {
+                let _ = write!(out, " {} {}", n.proc().index(), n.index());
+            }
+            None => out.push_str(" . ."),
+        }
+    }
+    let _ = write!(out, " {}", ck.observers.len());
+    for (sigma, mode) in &ck.observers {
+        let mode = match mode {
+            ObserverMode::Full => "full",
+            ObserverMode::ExcludeOwnSends => "exclude",
+        };
+        let _ = write!(out, " {} {} {mode}", sigma.proc().index(), sigma.index());
+    }
+    out.push('\n');
+    out
+}
+
+/// Decodes the fields of a `ck` record and checks it against the records
+/// before it: `nodes[p]` is how many events process `p` has appended, so
+/// node `(p, i)` is in the prefix iff `i <= nodes[p]`. `None` if the
+/// record does not hold.
+fn decode_checkpoint(
+    fields: &str,
+    events: usize,
+    nodes: &[u32],
+    spec: Option<&TimedCoordination>,
+) -> Option<Checkpoint> {
+    let toks: Vec<&str> = fields.split_whitespace().collect();
+    let [count, fk_p, fk_i, sc_p, sc_i, k, obs @ ..] = toks.as_slice() else {
+        return None;
+    };
+    if count.parse::<usize>().ok()? != events
+        || obs.len() != k.parse::<usize>().ok()?.checked_mul(3)?
+    {
+        return None;
+    }
+    let node = |p: &str, i: &str| -> Option<NodeId> {
+        let (p, i) = (p.parse::<u32>().ok()?, i.parse::<u32>().ok()?);
+        (i <= *nodes.get(p as usize)?).then(|| NodeId::new(ProcessId::new(p), i))
+    };
+    // Coordination progress must sit on the spec's processes: the first
+    // knowing node on `B`, the trigger on `C`; a spec-less session has
+    // none.
+    let progress = |p: &str, i: &str, on: Option<ProcessId>| -> Option<Option<NodeId>> {
+        if (p, i) == (".", ".") {
+            return Some(None);
+        }
+        let n = node(p, i)?;
+        (Some(n.proc()) == on).then_some(Some(n))
+    };
+    let first_known = progress(fk_p, fk_i, spec.map(|s| s.b))?;
+    let sigma_c = progress(sc_p, sc_i, spec.map(|s| s.c))?;
+    let observers = obs
+        .chunks_exact(3)
+        .map(|t| {
+            let mode = match t[2] {
+                "full" => ObserverMode::Full,
+                "exclude" => ObserverMode::ExcludeOwnSends,
+                _ => return None,
+            };
+            Some((node(t[0], t[1])?, mode))
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(Checkpoint {
+        events: events as u64,
+        first_known,
+        sigma_c,
+        observers,
+    })
+}
+
 /// A line-stepping parser over a decoded document, tracking 1-based line
 /// numbers for error reporting (the same shape as `wire`'s).
 struct Doc<'a> {
@@ -281,8 +418,8 @@ impl<'a> Doc<'a> {
             .ok_or_else(|| bad(self.no, format!("missing {what}")))
     }
 
-    /// Remaining lines, O(1) — for validating claimed counts *before*
-    /// allocating or consuming.
+    /// Counts the remaining lines (a walk over them, not O(1)) — for
+    /// validating a claimed count *before* allocating or consuming.
     fn remaining(&self) -> usize {
         self.lines.clone().count()
     }
@@ -372,35 +509,6 @@ fn parse_spec_tail(
     Ok(spec)
 }
 
-fn push_opt_node(out: &mut String, n: Option<NodeId>) {
-    match n {
-        Some(n) => {
-            let _ = write!(out, " {} {}", n.proc().index(), n.index());
-        }
-        None => out.push_str(" . ."),
-    }
-}
-
-fn parse_opt_node(doc_line: usize, p: &str, i: &str) -> Result<Option<NodeId>, Error> {
-    match (p, i) {
-        (".", ".") => Ok(None),
-        _ => Ok(Some(NodeId::new(
-            ProcessId::new(parse_u64(doc_line, p, "node process")? as u32),
-            parse_u64(doc_line, i, "node index")? as u32,
-        ))),
-    }
-}
-
-/// Appends the embedded-run section: a `run <nlines>` count line followed
-/// by the complete `bcm::codec` document.
-fn push_run_lines(out: &mut String, encoded_run: &str) {
-    let _ = writeln!(out, "run {}", encoded_run.lines().count());
-    out.push_str(encoded_run);
-    if !encoded_run.ends_with('\n') {
-        out.push('\n');
-    }
-}
-
 /// Parses the embedded-run section, count-validated before consumption.
 fn parse_run_lines(doc: &mut Doc<'_>) -> Result<Run, Error> {
     let line = doc.next("run count line")?;
@@ -422,171 +530,154 @@ fn parse_run_lines(doc: &mut Doc<'_>) -> Result<Run, Error> {
     codec::decode(&text).map_err(|e| bad(doc.no, format!("embedded run: {e}")))
 }
 
-/// Encodes a [`SessionSnapshot`] into the `zigzag-snap v1` document:
-/// metadata, the embedded skeleton, then one `ev` line per prefix event
-/// (see the [module docs](self)).
-pub fn encode_snapshot(snap: &SessionSnapshot) -> String {
-    let skeleton = codec::encode(&Run::skeleton(snap.run.context_arc(), snap.run.horizon()));
-    let mut out = String::with_capacity(skeleton.len() + 64 * snap.events as usize + 256);
-    let _ = writeln!(out, "{SNAP_HEADER}");
-    let _ = writeln!(out, "events {}", snap.events);
-    push_config_lines(&mut out, &snap.config);
-    out.push_str("coord");
-    push_opt_node(&mut out, snap.first_known);
-    push_opt_node(&mut out, snap.sigma_c);
-    out.push('\n');
-    let _ = writeln!(out, "observers {}", snap.observers.len());
-    for (sigma, mode) in &snap.observers {
-        let mode = match mode {
-            ObserverMode::Full => "full",
-            ObserverMode::ExcludeOwnSends => "exclude",
-        };
-        let _ = writeln!(out, "obs {} {} {mode}", sigma.proc().index(), sigma.index());
-    }
-    push_run_lines(&mut out, &skeleton);
-    let mut cursor = RunCursor::new(&snap.run);
-    while let Some(ev) = cursor.next_event() {
-        out.push_str(&encode_event(&ev));
-        out.push('\n');
-    }
-    out
+/// A parsed event log: the header plus the longest prefix of records
+/// that decode, with byte offsets for truncate-to-last-good.
+#[derive(Debug)]
+struct ParsedLog {
+    config: SessionConfig,
+    skeleton: Run,
+    /// Each event with the byte offset of its record's end.
+    events: Vec<(RunEvent, u64)>,
+    /// The last checkpoint that holds against the records before it.
+    checkpoint: Option<Checkpoint>,
+    /// End of the header section in bytes.
+    header_len: u64,
+    /// End of the last record kept (header included); anything after it
+    /// is torn or does not decode.
+    good_len: u64,
 }
 
-/// Decodes a `zigzag-snap v1` document.
-///
-/// # Errors
-///
-/// Fails with [`Error::Store`] on any malformation: wrong header,
-/// overclaimed counts, bad tokens, an embedded run that does not decode,
-/// or an event count disagreeing with the embedded run.
-pub fn decode_snapshot(text: &str) -> Result<SessionSnapshot, Error> {
-    let mut doc = Doc::new(text);
+/// Parses raw log bytes in one pass; see the record rules in the
+/// [module docs](self).
+fn parse_log(bytes: &[u8]) -> Result<ParsedLog, Error> {
+    // Non-UTF-8 tails never panic: keep the valid prefix only.
+    let text = match std::str::from_utf8(bytes) {
+        Ok(t) => t,
+        Err(e) => std::str::from_utf8(&bytes[..e.valid_up_to()]).expect("valid prefix"),
+    };
+    // Records are whole lines; a final line without its newline is torn.
+    let complete = match text.rfind('\n') {
+        Some(last) => &text[..last + 1],
+        None => "",
+    };
+
+    // The header (through the embedded skeleton run) must be intact.
+    let mut doc = Doc::new(complete);
     let header = doc.next("header")?;
-    if header.trim() != SNAP_HEADER {
+    if header.trim() != LOG_HEADER {
         return Err(bad(doc.no, format!("bad header {header:?}")));
     }
-    let line = doc.next("events line")?;
-    let events = line
-        .strip_prefix("events ")
-        .ok_or_else(|| bad(doc.no, format!("expected events line, got {line:?}")))
-        .and_then(|t| parse_u64(doc.no, t.trim(), "event count"))?;
     let config = parse_config_lines(&mut doc)?;
-
-    let line = doc.next("coord line")?;
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    let [tag, fk_p, fk_i, sc_p, sc_i] = toks.as_slice() else {
-        return Err(bad(doc.no, format!("bad coord line {line:?}")));
-    };
-    if *tag != "coord" {
-        return Err(bad(doc.no, format!("bad coord line {line:?}")));
-    }
-    let first_known = parse_opt_node(doc.no, fk_p, fk_i)?;
-    let sigma_c = parse_opt_node(doc.no, sc_p, sc_i)?;
-
-    let line = doc.next("observers line")?;
-    let k = line
-        .strip_prefix("observers ")
-        .ok_or_else(|| bad(doc.no, format!("expected observers line, got {line:?}")))
-        .and_then(|t| parse_u64(doc.no, t.trim(), "observer count"))? as usize;
-    if k > doc.remaining() {
-        return Err(bad(
-            doc.no,
-            format!(
-                "manifest claims {k} observers, {} lines remain",
-                doc.remaining()
-            ),
-        ));
-    }
-    let mut observers = Vec::with_capacity(k);
-    for _ in 0..k {
-        let line = doc.next("obs line")?;
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        let [tag, p, i, mode] = toks.as_slice() else {
-            return Err(bad(doc.no, format!("bad obs line {line:?}")));
-        };
-        if *tag != "obs" {
-            return Err(bad(doc.no, format!("bad obs line {line:?}")));
-        }
-        let sigma = NodeId::new(
-            ProcessId::new(parse_u64(doc.no, p, "observer process")? as u32),
-            parse_u64(doc.no, i, "observer index")? as u32,
-        );
-        let mode = match *mode {
-            "full" => ObserverMode::Full,
-            "exclude" => ObserverMode::ExcludeOwnSends,
-            other => return Err(bad(doc.no, format!("bad observer mode {other:?}"))),
-        };
-        observers.push((sigma, mode));
-    }
-
     let skeleton = parse_run_lines(&mut doc)?;
-    if events as usize > doc.remaining() {
-        return Err(bad(
-            doc.no,
-            format!("claims {events} events, {} lines remain", doc.remaining()),
-        ));
-    }
-    // Rebuild the prefix by replaying the `ev` block onto the skeleton —
-    // the exact reconstruction the live append path performs, so a
-    // decoded snapshot is the run the writer froze, byte for byte.
-    let mut prefix = StreamingRun::adopt(skeleton);
-    for _ in 0..events {
-        let line = doc.next("ev line")?;
-        let ev = decode_event(line).map_err(|e| bad(doc.no, format!("embedded event: {e}")))?;
-        prefix
-            .append(&ev)
-            .map_err(|e| bad(doc.no, format!("embedded event does not replay: {e}")))?;
-    }
-    let run = prefix.finish();
-    let non_initial = run.nodes().filter(|r| !r.id().is_initial()).count() as u64;
-    if events != non_initial {
-        return Err(bad(
-            doc.no,
-            format!("claims {events} events but the run holds {non_initial}"),
-        ));
-    }
-    Ok(SessionSnapshot {
+    let header_lines = doc.no;
+
+    // Everything after the header is records; compute byte offsets by
+    // re-walking the same `\n`-complete prefix.
+    let mut nodes = vec![0u32; skeleton.context().network().len()];
+    let mut log = ParsedLog {
         config,
-        events,
-        first_known,
-        sigma_c,
-        observers,
-        run,
-    })
-}
-
-/// Builds a live [`StreamSession`] from a snapshot: batch-build the
-/// engine over the prefix, optionally pre-warm the manifest's observer
-/// states, seed the coordination progress and the append counter.
-pub(crate) fn restore(snap: SessionSnapshot) -> Result<StreamSession, Error> {
-    restore_with(snap, true)
-}
-
-fn restore_with(snap: SessionSnapshot, warm: bool) -> Result<StreamSession, Error> {
-    let non_initial = snap.run.nodes().filter(|r| !r.id().is_initial()).count() as u64;
-    if snap.events != non_initial {
-        return Err(Error::Store {
-            detail: format!(
-                "snapshot claims {} events but its run holds {non_initial}",
-                snap.events
-            ),
-        });
+        skeleton,
+        events: Vec::new(),
+        checkpoint: None,
+        header_len: 0,
+        good_len: 0,
+    };
+    let mut offset = 0u64;
+    for (no, line) in complete.split_inclusive('\n').enumerate() {
+        offset += line.len() as u64;
+        if no < header_lines {
+            log.header_len = offset;
+            log.good_len = offset;
+            continue;
+        }
+        let body = line.trim_end_matches(['\n', '\r']);
+        if let Some(fields) = body.strip_prefix("ck ") {
+            // A checkpoint that does not hold drops no events: skip it.
+            let spec = log.config.spec.as_ref();
+            if let Some(ck) = decode_checkpoint(fields, log.events.len(), &nodes, spec) {
+                log.checkpoint = Some(ck);
+            }
+        } else {
+            let Ok(ev) = decode_event(body) else {
+                // First malformed record: everything from here on is
+                // untrusted (later records' stream-scoped message ids
+                // assume the dropped ones were applied).
+                break;
+            };
+            if let Some(n) = nodes.get_mut(ev.proc.index()) {
+                *n = n.saturating_add(1);
+            }
+            log.events.push((ev, offset));
+        }
+        log.good_len = offset;
     }
-    let engine = IncrementalEngine::from_prefix(snap.run);
-    if warm {
-        for (sigma, mode) in &snap.observers {
-            // Warmth is answer-invariant; a manifest entry naming a node
-            // outside the prefix (hostile input) is simply skipped.
-            let _ = engine.engine_mode(*sigma, *mode);
+    Ok(log)
+}
+
+/// Rebuilds the session a parsed log describes, returning it with the
+/// events restored from the last checkpoint (`None` if none was used) and
+/// the events replayed through the append path after them. Stops at the
+/// first event that does not replay; if the checkpoint's prefix or tail
+/// does not replay, falls back to full replay.
+fn rebuild(log: &ParsedLog) -> (StreamSession, Option<usize>, usize) {
+    if let Some(ck) = &log.checkpoint {
+        if let Some(session) = restore_at(log, ck) {
+            let base = ck.events as usize;
+            return (session, Some(base), log.events.len() - base);
         }
     }
-    Ok(StreamSession::resume(
-        snap.config,
+    let (session, applied) = replay_log(log);
+    (session, None, applied)
+}
+
+/// Restores from checkpoint `ck`: the covered events replay onto a bare
+/// [`StreamingRun`], the engine is batch-built over that prefix and its
+/// manifest re-warmed, and the tail goes through the append path.
+fn restore_at(log: &ParsedLog, ck: &Checkpoint) -> Option<StreamSession> {
+    let base = ck.events as usize;
+    let mut prefix = StreamingRun::adopt(log.skeleton.clone());
+    for (ev, _) in &log.events[..base] {
+        prefix.append(ev).ok()?;
+    }
+    let engine = IncrementalEngine::from_prefix(prefix.finish());
+    for &(sigma, mode) in &ck.observers {
+        // Warmth is answer-invariant; the build result is not needed.
+        let _ = engine.engine_mode(sigma, mode);
+    }
+    let session = StreamSession::resume(
+        log.config.clone(),
         engine,
-        snap.events,
-        snap.first_known,
-        snap.sigma_c,
-    ))
+        ck.events,
+        ck.first_known,
+        ck.sigma_c,
+    );
+    for (ev, _) in &log.events[base..] {
+        session.append(ev).ok()?;
+    }
+    Some(session)
+}
+
+/// Full log replay from the skeleton: applies events until the first
+/// semantic failure (an event that parses but does not replay), returning
+/// the session and how many events were applied.
+fn replay_log(log: &ParsedLog) -> (StreamSession, usize) {
+    // A failed append poisons its session, so on failure the session is
+    // rebuilt over the good prefix only (the retry pass cannot fail).
+    let mut upto = log.events.len();
+    loop {
+        let session = StreamSession::new(
+            log.skeleton.context_arc(),
+            log.skeleton.horizon(),
+            log.config.clone(),
+        );
+        match log.events[..upto]
+            .iter()
+            .position(|(ev, _)| session.append(ev).is_err())
+        {
+            None => return (session, upto),
+            Some(k) => upto = k,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -598,7 +689,7 @@ fn restore_with(snap: SessionSnapshot, warm: bool) -> Result<StreamSession, Erro
 struct DurableSession {
     name: String,
     log: File,
-    /// Events in the log (drives the snapshot cadence).
+    /// Events in the log (drives the checkpoint cadence).
     events: u64,
 }
 
@@ -607,9 +698,9 @@ struct DurableSession {
 pub struct Recovered {
     /// The handle the service assigned to the recovered session.
     pub id: SessionId,
-    /// Whether a snapshot was used (`false` = full log replay).
-    pub from_snapshot: bool,
-    /// Events restored wholesale from the snapshot.
+    /// Whether a checkpoint record was used (`false` = full log replay).
+    pub from_checkpoint: bool,
+    /// Events covered by the checkpoint, restored in bulk.
     pub restored_events: u64,
     /// Log-tail events replayed through the normal append path.
     pub replayed_events: u64,
@@ -620,11 +711,10 @@ pub struct Recovered {
 
 /// The per-session durable store; see the [module docs](self).
 ///
-/// A store manages a directory of `<name>.log` / `<name>.snap` file
-/// pairs and the set of open sessions it is logging for. It is bound to
-/// no particular service: every operation takes the [`ZigzagService`]
-/// whose session table it should act on (and whose
-/// [`ZigzagService::store_stats`] it bills).
+/// A store manages a directory of `<name>.log` files and the set of open
+/// sessions it is logging for. It is bound to no particular service:
+/// every operation takes the [`ZigzagService`] whose session table it
+/// should act on (and whose [`ZigzagService::store_stats`] it bills).
 #[derive(Debug)]
 pub struct SessionStore {
     root: PathBuf,
@@ -652,10 +742,10 @@ impl SessionStore {
         })
     }
 
-    /// Arms this store with a deterministic fault plan: log appends may
-    /// tear, fsyncs may fail, snapshot writes may hit disk-full —
-    /// exactly as scheduled by the plan. Chaos-testing hook; production
-    /// stores never call this.
+    /// Arms this store with a deterministic fault plan: log records
+    /// (events and checkpoints) may tear and fsyncs may fail, exactly as
+    /// scheduled by the plan. Chaos-testing hook; production stores
+    /// never call this.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
         self
@@ -681,26 +771,60 @@ impl SessionStore {
         self.root.join(format!("{name}.log"))
     }
 
-    /// The snapshot file backing durable session `name`.
-    pub fn snap_path(&self, name: &str) -> PathBuf {
-        self.root.join(format!("{name}.snap"))
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, DurableSession>> {
         self.open.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// `sync_all` with the fault plan's fsync site consulted first — the
     /// seam every durability-relevant sync in this store goes through.
-    fn sync_file(&self, file: &File, path: &Path) -> Result<(), Error> {
+    fn sync_file(&self, file: &File, name: &str) -> Result<(), Error> {
         if let Some(plan) = &self.faults {
             if plan.on_fsync() {
                 return Err(Error::Store {
-                    detail: format!("injected fsync failure on {}", path.display()),
+                    detail: format!(
+                        "injected fsync failure on {}",
+                        self.log_path(name).display()
+                    ),
                 });
             }
         }
-        file.sync_all().map_err(|e| io_err("syncing", path, e))
+        file.sync_all()
+            .map_err(|e| io_err("syncing", &self.log_path(name), e))
+    }
+
+    /// Appends one record (newline included) to a session log through the
+    /// fault plan's log-write site, billing its bytes.
+    fn write_record(
+        &self,
+        service: &ZigzagService,
+        st: &mut DurableSession,
+        record: &str,
+    ) -> Result<(), Error> {
+        if let Some(plan) = &self.faults {
+            if let LogFault::Torn(cut) = plan.on_log_write(record.len()) {
+                // A torn write: a strict prefix of the record reaches the
+                // file, then the append fails. Recovery truncates the torn
+                // record away; until then the in-memory session may be
+                // ahead of the log, which is why store errors are fatal
+                // for the session.
+                let _ = st.log.write_all(&record.as_bytes()[..cut]);
+                return Err(Error::Store {
+                    detail: format!(
+                        "injected torn write ({cut}/{} bytes) on {}",
+                        record.len(),
+                        self.log_path(&st.name).display()
+                    ),
+                });
+            }
+        }
+        st.log
+            .write_all(record.as_bytes())
+            .map_err(|e| io_err("appending to log", &self.log_path(&st.name), e))?;
+        service
+            .store_stats()
+            .bytes_written
+            .fetch_add(record.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Opens a **durable** stream session: a fresh session on `service`
@@ -729,16 +853,11 @@ impl SessionStore {
             .open(&path)
             .map_err(|e| io_err("creating log", &path, e))?;
 
-        let skeleton = Run::skeleton(context.clone(), horizon);
-        let mut header = String::new();
-        let _ = writeln!(header, "{LOG_HEADER}");
-        push_config_lines(&mut header, &config);
-        push_run_lines(&mut header, &codec::encode(&skeleton));
+        let header = header_text(&config, context.clone(), horizon);
         log.write_all(header.as_bytes())
             .map_err(|e| io_err("writing log header", &path, e))?;
         if self.config.fsync == FsyncPolicy::Always {
-            log.sync_all()
-                .map_err(|e| io_err("syncing log", &path, e))?;
+            self.sync_file(&log, name)?;
         }
         service
             .store_stats()
@@ -760,13 +879,13 @@ impl SessionStore {
     /// Appends one event durably: through the service's normal append
     /// path first (so an inconsistent event is rejected before any byte
     /// is written), then as one log record, then — every
-    /// [`StoreConfig::snapshot_every`] appends — a snapshot.
+    /// [`StoreConfig::snapshot_every`] appends — a checkpoint record.
     ///
     /// # Errors
     ///
     /// Propagates the session's append error, or fails with
     /// [`Error::Store`] if `id` is not store-managed or the write fails
-    /// (after which the in-memory session is ahead of the log; treat
+    /// (after which the in-memory session may be ahead of the log; treat
     /// store errors as fatal for the session).
     pub fn append(
         &self,
@@ -781,145 +900,70 @@ impl SessionStore {
         })?;
         let mut line = encode_event(ev);
         line.push('\n');
-        let path = self.log_path(&st.name);
-        if let Some(plan) = &self.faults {
-            if let LogFault::Torn(cut) = plan.on_log_write(line.len()) {
-                // A torn write: a strict prefix of the record reaches the
-                // file, then the append fails. Recovery truncates the torn
-                // record away; until then the in-memory session is ahead
-                // of the log, which is why store errors are fatal for the
-                // session.
-                let _ = st.log.write_all(&line.as_bytes()[..cut]);
-                return Err(Error::Store {
-                    detail: format!(
-                        "injected torn write ({cut}/{} bytes) on {}",
-                        line.len(),
-                        path.display()
-                    ),
-                });
-            }
-        }
-        st.log
-            .write_all(line.as_bytes())
-            .map_err(|e| io_err("appending to log", &path, e))?;
+        self.write_record(service, st, &line)?;
         if self.config.fsync == FsyncPolicy::Always {
-            self.sync_file(&st.log, &path)?;
+            self.sync_file(&st.log, &st.name)?;
         }
         st.events += 1;
-        let stats = service.store_stats();
-        stats.events_logged.fetch_add(1, Ordering::Relaxed);
-        stats
-            .bytes_written
-            .fetch_add(line.len() as u64, Ordering::Relaxed);
+        service
+            .store_stats()
+            .events_logged
+            .fetch_add(1, Ordering::Relaxed);
         if let Some(every) = self.config.snapshot_every {
             if st.events.is_multiple_of(every) {
-                self.write_snapshot(service, id, st)?;
+                self.write_checkpoint(service, id, st)?;
             }
         }
         Ok(report)
     }
 
-    /// Writes a snapshot of session `id` right now, regardless of
-    /// cadence. Returns `false` (writing nothing) when the session's run
-    /// does not round-trip the canonical codec — possible only for
-    /// hand-built non-chronological feeds — in which case recovery
-    /// replays the (always complete) log instead.
+    /// Appends a checkpoint record for session `id` right now,
+    /// regardless of cadence.
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::Store`] if `id` is not store-managed, on
+    /// Fails with [`Error::Store`] if `id` is not store-managed or on
     /// file-system errors, or if the session is poisoned.
-    pub fn snapshot(&self, service: &ZigzagService, id: SessionId) -> Result<bool, Error> {
+    pub fn checkpoint(&self, service: &ZigzagService, id: SessionId) -> Result<(), Error> {
         let mut open = self.lock();
         let st = open.get_mut(&id.raw()).ok_or_else(|| Error::Store {
             detail: format!("session {id} is not managed by this store"),
         })?;
-        self.write_snapshot(service, id, st)
+        self.write_checkpoint(service, id, st)
     }
 
-    /// Snapshot write shared by the cadence path and the explicit API.
-    /// Atomic: written to a temp file, synced per policy, renamed over
-    /// the live snapshot.
-    fn write_snapshot(
+    /// Checkpoint write shared by the cadence path and the explicit API:
+    /// one record, then a sync under any syncing policy.
+    fn write_checkpoint(
         &self,
         service: &ZigzagService,
         id: SessionId,
         st: &mut DurableSession,
-    ) -> Result<bool, Error> {
+    ) -> Result<(), Error> {
         let session = service.session(id)?;
         let Session::Stream(s) = &*session else {
             return Err(Error::NotStreaming { id });
         };
-        let frozen = s.freeze()?;
-        // A snapshot is only trusted if replaying the run's own cursor
-        // events onto a fresh skeleton rebuilds it exactly — decoding
-        // replays the `ev` block the same way, so this check (one cheap
-        // engine-less replay) guarantees the restored run is the frozen
-        // one byte for byte. Canonical-order feeds (everything the
-        // simulator or cursor replay produces) always pass; a hand-built
-        // feed whose cursor order renumbers messages degrades to
-        // log-only durability instead of restoring a subtly reordered
-        // run.
-        let mut rebuilt = StreamingRun::adopt(Run::skeleton(
-            frozen.run.context_arc(),
-            frozen.run.horizon(),
-        ));
-        let mut cursor = RunCursor::new(&frozen.run);
-        let mut exact = true;
-        while let Some(ev) = cursor.next_event() {
-            if rebuilt.append(&ev).is_err() {
-                exact = false;
-                break;
-            }
-        }
-        if !exact || rebuilt.run() != &frozen.run {
-            return Ok(false);
-        }
-        let snap = SessionSnapshot::of_frozen(s.config().clone(), frozen);
-        let text = encode_snapshot(&snap);
-
-        let final_path = self.snap_path(&st.name);
-        let tmp_path = self.root.join(format!("{}.snap.tmp", st.name));
+        let line = s.with_checkpoint(|_, ck| checkpoint_line(&ck))?;
+        self.write_record(service, st, &line)?;
         if self.config.fsync != FsyncPolicy::Never {
-            // The snapshot claims coverage of every logged event below
-            // its count; make the log at least that durable first.
-            self.sync_file(&st.log, &self.log_path(&st.name))?;
+            self.sync_file(&st.log, &st.name)?;
         }
-        let mut tmp = File::create(&tmp_path).map_err(|e| io_err("creating", &tmp_path, e))?;
-        if let Some(plan) = &self.faults {
-            if plan.on_snapshot_write() {
-                // Disk-full mid-snapshot: the temp file stays behind as
-                // the orphan a crashed writer would leave — exactly what
-                // recover() sweeps. The live snapshot is untouched.
-                let _ = tmp.write_all(&text.as_bytes()[..text.len() / 2]);
-                return Err(Error::Store {
-                    detail: format!("injected disk-full writing {}", tmp_path.display()),
-                });
-            }
-        }
-        tmp.write_all(text.as_bytes())
-            .map_err(|e| io_err("writing", &tmp_path, e))?;
-        if self.config.fsync != FsyncPolicy::Never {
-            self.sync_file(&tmp, &tmp_path)?;
-        }
-        drop(tmp);
-        fs::rename(&tmp_path, &final_path).map_err(|e| io_err("installing", &final_path, e))?;
-
-        let stats = service.store_stats();
-        stats.snapshots.fetch_add(1, Ordering::Relaxed);
-        stats
-            .bytes_written
-            .fetch_add(text.len() as u64, Ordering::Relaxed);
-        Ok(true)
+        service
+            .store_stats()
+            .snapshots
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Recovers durable session `name` into a fresh session of
     /// `service`, byte-identical to the uninterrupted session at the
-    /// last durable append: snapshot restore + log-tail replay when a
-    /// usable snapshot exists, full log replay otherwise. A torn or
-    /// corrupt log tail is dropped — the file is truncated back to the
-    /// longest prefix of records that parse *and* replay — and appending
-    /// may resume through [`SessionStore::append`].
+    /// last durable append, in one pass over its log: restore from the
+    /// last checkpoint that holds and replay the tail, or replay the
+    /// whole log. A torn or corrupt log tail is dropped — the file is
+    /// truncated back to the longest prefix of records that parse *and*
+    /// replay — and appending may resume through
+    /// [`SessionStore::append`].
     ///
     /// # Errors
     ///
@@ -928,123 +972,38 @@ impl SessionStore {
     /// context there is no last-good state to recover to.
     pub fn recover(&self, service: &ZigzagService, name: &str) -> Result<Recovered, Error> {
         validate_name(name)?;
-        // Sweep the snapshot temp file a crash between tmp write and
-        // rename leaves behind: it is at best a complete snapshot that
-        // was never installed, at worst a torn one — either way the
-        // durable state is the installed snapshot + log, never the tmp.
-        let _ = fs::remove_file(self.root.join(format!("{name}.snap.tmp")));
         let log_path = self.log_path(name);
         let bytes = fs::read(&log_path).map_err(|e| io_err("reading log", &log_path, e))?;
-        // Surface scan: validates the header and counts complete records
-        // without decoding any of them — enough to read the config and
-        // match a snapshot against it.
-        let mut parsed = parse_log(&bytes, usize::MAX)?;
+        let parsed = parse_log(&bytes)?;
+        let (session, restored, replayed) = rebuild(&parsed);
 
-        // A snapshot is usable if it decodes and agrees with the log
-        // header on the session's configuration.
-        let snap = fs::read(self.snap_path(name))
-            .ok()
-            .and_then(|b| String::from_utf8(b).ok())
-            .and_then(|text| decode_snapshot(&text).ok())
-            .filter(|s| s.config == parsed.config);
-
-        let mut rewrite_from_snapshot = false;
-        let mut outcome: Option<(StreamSession, u64, u64)> = None;
-        if let Some(snap) = snap {
-            let base = snap.events as usize;
-            if base > parsed.record_count() {
-                // The log lost a suffix the snapshot still covers: the
-                // snapshot is the most durable state. Regenerate the log
-                // from its (replay-verified) run so the
-                // log-replays-to-current-state invariant holds again.
-                rewrite_from_snapshot = true;
-            } else {
-                // Decode only the tail past the snapshot's coverage; the
-                // covered records stay surface-validated.
-                parsed = parse_log(&bytes, base)?;
-            }
-            let tail: &[(RunEvent, u64)] = if rewrite_from_snapshot {
-                &[]
-            } else {
-                &parsed.events
-            };
-            if let Ok(session) = restore_with(snap, self.config.warm_observers) {
-                let mut ok = true;
-                let mut replayed = 0u64;
-                for (ev, _) in tail {
-                    if session.append(ev).is_err() {
-                        // Snapshot and log tail disagree (corruption that
-                        // still parses): fall back to pure log replay.
-                        ok = false;
-                        break;
-                    }
-                    replayed += 1;
-                }
-                if ok {
-                    outcome = Some((session, base as u64, replayed));
-                }
-            }
+        // Truncate the file back to the good prefix, dropping torn,
+        // malformed and unreplayable records.
+        let applied = restored.unwrap_or(0) + replayed;
+        let good_len = match applied {
+            n if n == parsed.events.len() => parsed.good_len,
+            0 => parsed.header_len,
+            n => parsed.events[n - 1].1,
+        };
+        let truncated = good_len < bytes.len() as u64;
+        let mut log = OpenOptions::new()
+            .write(true)
+            .open(&log_path)
+            .map_err(|e| io_err("reopening log", &log_path, e))?;
+        if truncated {
+            log.set_len(good_len)
+                .map_err(|e| io_err("truncating log", &log_path, e))?;
         }
+        log.seek(SeekFrom::End(0))
+            .map_err(|e| io_err("seeking log", &log_path, e))?;
 
-        let (session, restored, replayed, semantic_cut) = match outcome {
-            Some((session, base, replayed)) => (session, base, replayed, None),
-            None => {
-                rewrite_from_snapshot = false;
-                // Pure replay needs every record decoded.
-                parsed = parse_log(&bytes, 0)?;
-                let (session, applied) = replay_log(&parsed)?;
-                (session, 0, applied as u64, Some(applied))
-            }
-        };
-
-        // Compute where the good log prefix ends and truncate the file
-        // back to it (dropping torn/corrupt/unreplayable records).
-        let from_snapshot = restored > 0 || (replayed == 0 && semantic_cut.is_none());
-        let mut truncated = parsed.truncated;
-        let log = if rewrite_from_snapshot {
-            truncated = true;
-            let text = rebuild_log_text(&parsed, &session)?;
-            fs::write(&log_path, text.as_bytes())
-                .map_err(|e| io_err("rewriting log", &log_path, e))?;
-            OpenOptions::new()
-                .append(true)
-                .open(&log_path)
-                .map_err(|e| io_err("reopening log", &log_path, e))?
-        } else {
-            let good_len = match semantic_cut {
-                Some(applied) if applied < parsed.events.len() => {
-                    truncated = true;
-                    if applied == 0 {
-                        parsed.header_len
-                    } else {
-                        parsed.events[applied - 1].1
-                    }
-                }
-                _ => parsed.good_len,
-            };
-            let log = OpenOptions::new()
-                .write(true)
-                .open(&log_path)
-                .map_err(|e| io_err("reopening log", &log_path, e))?;
-            if good_len < bytes.len() as u64 || parsed.truncated {
-                log.set_len(good_len)
-                    .map_err(|e| io_err("truncating log", &log_path, e))?;
-            }
-            let mut log = log;
-            use std::io::Seek as _;
-            log.seek(std::io::SeekFrom::End(0))
-                .map_err(|e| io_err("seeking log", &log_path, e))?;
-            log
-        };
-
-        let events = session.event_count()? as u64;
         let id = service.install(Session::Stream(session));
         self.lock().insert(
             id.raw(),
             DurableSession {
                 name: name.to_string(),
                 log,
-                events,
+                events: applied as u64,
             },
         );
         service
@@ -1053,14 +1012,14 @@ impl SessionStore {
             .fetch_add(1, Ordering::Relaxed);
         Ok(Recovered {
             id,
-            from_snapshot,
-            restored_events: restored,
-            replayed_events: replayed,
+            from_checkpoint: restored.is_some(),
+            restored_events: restored.unwrap_or(0) as u64,
+            replayed_events: replayed as u64,
             truncated,
         })
     }
 
-    /// Stops logging for session `id` (files are kept; the session stays
+    /// Stops logging for session `id` (the log is kept; the session stays
     /// open on its service). Returns whether the session was managed.
     pub fn detach(&self, id: SessionId) -> bool {
         self.lock().remove(&id.raw()).is_some()
@@ -1069,10 +1028,7 @@ impl SessionStore {
     /// Recovers every `<name>.log` in the store directory that is not
     /// already attached to an open durable session — the supervisor's
     /// startup sweep and the implementation of [`crate::Query::Recover`].
-    /// Orphaned `<name>.snap.tmp` files whose log is gone are deleted
-    /// along the way (those with a log are swept by the per-name
-    /// [`SessionStore::recover`]). Returns the recovered sessions sorted
-    /// by name.
+    /// Returns the recovered sessions sorted by name.
     ///
     /// # Errors
     ///
@@ -1088,17 +1044,11 @@ impl SessionStore {
         for entry in entries {
             let entry = entry.map_err(|e| io_err("listing store root", &self.root, e))?;
             let fname = entry.file_name();
-            let Some(fname) = fname.to_str() else {
+            let Some(stem) = fname.to_str().and_then(|f| f.strip_suffix(".log")) else {
                 continue;
             };
-            if let Some(stem) = fname.strip_suffix(".log") {
-                if validate_name(stem).is_ok() && !attached.contains(stem) {
-                    names.push(stem.to_string());
-                }
-            } else if let Some(stem) = fname.strip_suffix(".snap.tmp") {
-                if !self.log_path(stem).exists() {
-                    let _ = fs::remove_file(entry.path());
-                }
+            if validate_name(stem).is_ok() && !attached.contains(stem) {
+                names.push(stem.to_string());
             }
         }
         names.sort();
@@ -1109,162 +1059,6 @@ impl SessionStore {
         }
         Ok(out)
     }
-}
-
-/// Full log replay from the skeleton: applies events until the first
-/// semantic failure (an event that parses but does not replay), returning
-/// the session and how many events were applied.
-fn replay_log(parsed: &ParsedLog) -> Result<(StreamSession, usize), Error> {
-    // A failed append poisons its session, so on failure the session is
-    // rebuilt over the good prefix only (the retry pass cannot fail).
-    let mut upto = parsed.events.len();
-    loop {
-        let session = StreamSession::new(
-            parsed.skeleton.context_arc(),
-            parsed.skeleton.horizon(),
-            parsed.config.clone(),
-        );
-        let mut failed_at = None;
-        for (k, (ev, _)) in parsed.events[..upto].iter().enumerate() {
-            if session.append(ev).is_err() {
-                failed_at = Some(k);
-                break;
-            }
-        }
-        match failed_at {
-            None => return Ok((session, upto)),
-            Some(k) => upto = k,
-        }
-    }
-}
-
-/// Regenerates a complete log document (header + one record per event)
-/// from a recovered session's run — used when the snapshot outlived the
-/// log tail.
-fn rebuild_log_text(parsed: &ParsedLog, session: &StreamSession) -> Result<String, Error> {
-    let mut out = String::new();
-    let _ = writeln!(out, "{LOG_HEADER}");
-    push_config_lines(&mut out, &parsed.config);
-    push_run_lines(&mut out, &codec::encode(&parsed.skeleton));
-    session.with_engine(|engine| {
-        for ev in RunCursor::new(engine.run()) {
-            out.push_str(&encode_event(&ev));
-            out.push('\n');
-        }
-    })?;
-    Ok(out)
-}
-
-/// A parsed event log: header plus the longest prefix of records that
-/// parse, with byte offsets for truncate-to-last-good.
-#[derive(Debug)]
-struct ParsedLog {
-    config: SessionConfig,
-    skeleton: Run,
-    /// Records before `decode_from`, surface-validated (complete `ev`
-    /// lines) but not decoded — a trusted snapshot covers them.
-    skipped: usize,
-    /// Each decoded event with the byte offset of its record's end.
-    events: Vec<(RunEvent, u64)>,
-    /// End of the header section in bytes.
-    header_len: u64,
-    /// End of the last parse-good record (header included).
-    good_len: u64,
-    /// Whether anything after `good_len` was dropped.
-    truncated: bool,
-}
-
-impl ParsedLog {
-    /// Total surface-good records: skipped plus decoded.
-    fn record_count(&self) -> usize {
-        self.skipped + self.events.len()
-    }
-}
-
-/// Parses raw log bytes; see the torn-record rules in the
-/// [module docs](self). The first `decode_from` records are only
-/// surface-validated (complete, `ev`-tagged lines) without decoding —
-/// recovery passes the trusted snapshot's coverage there, so restoring
-/// from a snapshot does not pay a full-log parse.
-fn parse_log(bytes: &[u8], decode_from: usize) -> Result<ParsedLog, Error> {
-    // Non-UTF-8 tails never panic: keep the valid prefix only.
-    let (text, utf8_cut) = match std::str::from_utf8(bytes) {
-        Ok(t) => (t, false),
-        Err(e) => (
-            std::str::from_utf8(&bytes[..e.valid_up_to()]).expect("valid prefix"),
-            true,
-        ),
-    };
-    // Records are whole lines; a final line without its newline is torn.
-    let complete = match text.rfind('\n') {
-        Some(last) => &text[..last + 1],
-        None => "",
-    };
-    let torn_tail = utf8_cut || complete.len() < bytes.len();
-
-    // The header (through the embedded skeleton run) must be intact.
-    let mut doc = Doc::new(complete);
-    let header = doc.next("header")?;
-    if header.trim() != LOG_HEADER {
-        return Err(bad(doc.no, format!("bad header {header:?}")));
-    }
-    let config = parse_config_lines(&mut doc)?;
-    let skeleton = parse_run_lines(&mut doc)?;
-    let header_lines = doc.no;
-
-    // Everything after the header is event records; compute byte offsets
-    // by re-walking the same `\n`-complete prefix.
-    let mut offset = 0u64;
-    let mut skipped = 0usize;
-    let mut events = Vec::new();
-    let mut good_len = 0u64;
-    let mut header_len = 0u64;
-    let mut truncated = torn_tail;
-    let mut record = 0usize;
-    for (no, line) in complete.split_inclusive('\n').enumerate() {
-        offset += line.len() as u64;
-        if no < header_lines {
-            header_len = offset;
-            good_len = offset;
-            continue;
-        }
-        let body = line.trim_end_matches(['\n', '\r']);
-        if record < decode_from {
-            // Covered by the snapshot: a complete `ev`-tagged line is
-            // enough — its content was validated when it was written and
-            // is never replayed on this path.
-            if !body.starts_with("ev ") {
-                truncated = true;
-                break;
-            }
-            skipped += 1;
-            good_len = offset;
-        } else {
-            match decode_event(body) {
-                Ok(ev) => {
-                    events.push((ev, offset));
-                    good_len = offset;
-                }
-                Err(_) => {
-                    // First malformed record: everything from here on is
-                    // untrusted (later records' stream-scoped message ids
-                    // assume the dropped ones were applied).
-                    truncated = true;
-                    break;
-                }
-            }
-        }
-        record += 1;
-    }
-    Ok(ParsedLog {
-        config,
-        skeleton,
-        skipped,
-        events,
-        header_len,
-        good_len,
-        truncated,
-    })
 }
 
 /// Durable session names become file names: restrict them to a safe
@@ -1291,6 +1085,7 @@ fn validate_name(name: &str) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultRates;
     use crate::query::{Query, Response};
     use zigzag_bcm::protocols::Ffip;
     use zigzag_bcm::scheduler::EagerScheduler;
@@ -1333,6 +1128,25 @@ mod tests {
         dir
     }
 
+    /// Feeds `events` into a fresh durable session `feed` under `config`
+    /// with the coordination spec, then drops everything (the crash).
+    fn persist(dir: &Path, config: StoreConfig, run: &Run, events: &[RunEvent]) {
+        let service = ZigzagService::new();
+        let store = SessionStore::open(dir, config).unwrap();
+        let id = store
+            .open_stream(
+                &service,
+                "feed",
+                run.context_arc(),
+                run.horizon(),
+                coord_config(),
+            )
+            .unwrap();
+        for ev in events {
+            store.append(&service, id, ev).unwrap();
+        }
+    }
+
     /// The probe queries recovery and migration are held byte-identical
     /// on.
     fn probes(run: &Run) -> Vec<Query> {
@@ -1364,42 +1178,60 @@ mod tests {
             .collect()
     }
 
+    /// The uninterrupted reference answers over the whole of `run`.
+    fn expected(run: &Run) -> Vec<Response> {
+        let reference = ZigzagService::new();
+        let (id, _) = reference.open_replay(run, coord_config()).unwrap();
+        answers(&reference, id, &probes(run))
+    }
+
+    /// The file names in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn snapshot_documents_round_trip() {
+    fn exported_documents_round_trip_and_end_in_a_checkpoint() {
         let run = fig_run();
         let service = ZigzagService::new();
-        let config = coord_config()
+        let mut config = coord_config()
             .cache(CachePolicy::default().max_observers(8).compact_every(3))
             .probe(ProbeSemantics::ExcludeOwnSends);
-        let mut spec_config = config.clone();
-        if let Some(spec) = spec_config.spec.as_mut() {
+        if let Some(spec) = config.spec.as_mut() {
             // Names with spaces, '%' and non-ASCII must survive the
             // token escaping.
             spec.go_name = "go now".into();
             spec.a_action = "100% ü".into();
             spec.b_action = String::new();
         }
-        let (id, _) = service.open_replay(&run, spec_config).unwrap();
-        let snap = service.export(id).unwrap();
-        let text = encode_snapshot(&snap);
-        assert_eq!(decode_snapshot(&text).unwrap(), snap);
-        // The empty snapshot (no events yet) round-trips too.
+        let (id, _) = service.open_replay(&run, config).unwrap();
+        let doc = service.export(id).unwrap();
+        assert_eq!(doc.events(), events_of(&run).len() as u64);
+        assert!(doc.as_str().starts_with(LOG_HEADER));
+        assert!(doc.as_str().lines().last().unwrap().starts_with("ck "));
+        assert_eq!(SessionLog::parse(doc.as_str().to_string()).unwrap(), doc);
+        // The empty session (no events yet) round-trips too.
         let empty = service.open_stream(run.context_arc(), run.horizon(), coord_config());
-        let snap = service.export(empty).unwrap();
-        assert_eq!(snap.events, 0);
-        assert_eq!(decode_snapshot(&encode_snapshot(&snap)).unwrap(), snap);
+        let doc = service.export(empty).unwrap();
+        assert_eq!(doc.events(), 0);
+        assert_eq!(SessionLog::parse(doc.as_str().to_string()).unwrap(), doc);
+        assert!(service.import(doc).is_ok());
     }
 
     #[test]
-    fn hostile_snapshot_documents_are_rejected_without_panic() {
+    fn hostile_log_documents_are_rejected_without_panic() {
         let run = fig_run();
         let service = ZigzagService::new();
         let (id, _) = service.open_replay(&run, coord_config()).unwrap();
-        let good = encode_snapshot(&service.export(id).unwrap());
+        let good = service.export(id).unwrap().as_str().to_string();
 
-        // Every single-line deletion and every truncation of the
-        // document must fail cleanly (or, for deletions past the run
-        // section, possibly still parse — never panic).
+        // Every single-line deletion must parse or fail cleanly, and an
+        // accepted document must import or fail cleanly — never panic.
         for cut in 0..good.lines().count() {
             let doc: String = good
                 .lines()
@@ -1407,18 +1239,16 @@ mod tests {
                 .filter(|(k, _)| *k != cut)
                 .map(|(_, l)| format!("{l}\n"))
                 .collect();
-            let _ = decode_snapshot(&doc);
+            if let Ok(doc) = SessionLog::parse(doc) {
+                let _ = service.import(doc);
+            }
         }
-        // Every byte-truncation must fail cleanly whenever it loses a
-        // whole line. (A cut inside the *final token* of the last line
-        // can legitimately still parse — trailing name fields are
-        // free-form — but must never panic.)
-        let full_lines = good.lines().count();
+        // A document that breaks off mid-line is torn, never accepted.
         for cut in 0..good.len() {
             if let Some(prefix) = good.get(..cut) {
-                let verdict = decode_snapshot(prefix);
-                if prefix.lines().count() < full_lines {
-                    assert!(verdict.is_err(), "truncation at {cut}");
+                let verdict = SessionLog::parse(prefix.to_string());
+                if !prefix.is_empty() && !prefix.ends_with('\n') {
+                    assert!(verdict.is_err(), "torn document accepted at {cut}");
                 }
             }
         }
@@ -1426,23 +1256,23 @@ mod tests {
         // Targeted malformations.
         let tamper = |from: &str, to: &str| good.replacen(from, to, 1);
         for doc in [
-            tamper("zigzag-snap v1", "zigzag-snap v2"),
-            tamper("events ", "events x"),
-            // Overclaimed counts must be refused before allocation.
-            tamper("observers ", "observers 4000000000 "),
-            tamper("run ", &format!("run {} ", u64::MAX)),
-            // An event count disagreeing with the embedded run.
-            tamper("events ", "events 1"),
+            tamper("zigzag-log v1", "zigzag-log v2"),
             tamper("probe ", "probe sideways "),
-            tamper("coord", "coord zz"),
+            // Overclaimed counts must be refused before allocation.
+            tamper("run ", &format!("run {} ", u64::MAX)),
+            // A record that is neither `ev` nor `ck`.
+            format!("{good}garbage\n"),
+            String::new(),
+            "zigzag-log v1".to_string(),
         ] {
             assert!(
-                matches!(decode_snapshot(&doc), Err(Error::Store { .. })),
+                matches!(SessionLog::parse(doc.clone()), Err(Error::Store { .. })),
                 "{doc}"
             );
         }
-        assert!(decode_snapshot("").is_err());
-        assert!(decode_snapshot("zigzag-snap v1").is_err());
+        // An event that decodes but does not replay is refused by import.
+        let doc = SessionLog::parse(format!("{good}ev 0 39 1 m4000 0 0\n")).unwrap();
+        assert!(matches!(service.import(doc), Err(Error::Store { .. })));
     }
 
     #[test]
@@ -1488,162 +1318,234 @@ mod tests {
     fn recovery_replays_the_log_byte_identically() {
         let run = fig_run();
         let events = events_of(&run);
-        let probes = probes(&run);
         let dir = tmpdir("recover-log");
-
-        // The uninterrupted reference.
-        let reference = ZigzagService::new();
-        let (ref_id, _) = reference.open_replay(&run, coord_config()).unwrap();
-        let expected = answers(&reference, ref_id, &probes);
-
-        // A durable session, crashed after the last append (drop without
-        // any shutdown protocol).
-        {
-            let service = ZigzagService::new();
-            let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
-            let id = store
-                .open_stream(
-                    &service,
-                    "feed",
-                    run.context_arc(),
-                    run.horizon(),
-                    coord_config(),
-                )
-                .unwrap();
-            for ev in &events {
-                store.append(&service, id, ev).unwrap();
-            }
-        }
+        persist(&dir, StoreConfig::new(), &run, &events);
 
         let service = ZigzagService::new();
         let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
         let rec = store.recover(&service, "feed").unwrap();
-        assert!(!rec.from_snapshot);
+        assert!(!rec.from_checkpoint);
         assert!(!rec.truncated);
         assert_eq!(rec.replayed_events, events.len() as u64);
-        assert_eq!(answers(&service, rec.id, &probes), expected);
+        assert_eq!(answers(&service, rec.id, &probes(&run)), expected(&run));
         assert_eq!(service.stats().store.recoveries, 1);
     }
 
     #[test]
-    fn orphaned_snapshot_tmp_files_are_swept_on_recovery() {
-        use crate::fault::{FaultPlan, FaultRates};
-        use std::sync::Arc;
-
+    fn recovery_from_checkpoint_plus_tail_is_byte_identical() {
         let run = fig_run();
         let events = events_of(&run);
-        let probes = probes(&run);
-        let dir = tmpdir("orphan-tmp");
-
-        let reference = ZigzagService::new();
-        let (ref_id, _) = reference.open_replay(&run, coord_config()).unwrap();
-        let expected = answers(&reference, ref_id, &probes);
-
-        // First life: a fault plan forces disk-full exactly once, mid
-        // snapshot — the crash-between-tmp-write-and-rename shape. A
-        // torn `feed.snap.tmp` stays behind; the log record had already
-        // landed, so the session stays consistent and appending resumes.
-        {
-            let service = ZigzagService::new();
-            let rates = FaultRates {
-                snapshot_full: 1000,
-                ..FaultRates::default()
-            };
-            let plan = Arc::new(FaultPlan::with_budget(7, rates, 1));
-            let store = SessionStore::open(&dir, StoreConfig::new())
-                .unwrap()
-                .with_faults(plan);
-            let id = store
-                .open_stream(
-                    &service,
-                    "feed",
-                    run.context_arc(),
-                    run.horizon(),
-                    coord_config(),
-                )
-                .unwrap();
-            for ev in &events {
-                store.append(&service, id, ev).unwrap();
-            }
-            let err = store.snapshot(&service, id).unwrap_err();
-            assert!(
-                matches!(&err, Error::Store { detail } if detail.contains("injected disk-full")),
-                "got {err}"
-            );
-            assert!(
-                dir.join("feed.snap.tmp").exists(),
-                "the torn tmp file should have been left behind"
-            );
-        }
-        // A second orphan with *no* sibling log — a session whose log was
-        // deleted mid-crash — must be swept by the directory sweep too.
-        fs::write(dir.join("ghost.snap.tmp"), b"torn bytes").unwrap();
-
-        // Second life: the sweep removes both orphans and recovery is
-        // byte-identical to the uninterrupted reference.
-        let service = ZigzagService::new();
-        let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
-        let recovered = store.recover_all(&service).unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].0, "feed");
-        assert!(!dir.join("feed.snap.tmp").exists(), "orphan not swept");
-        assert!(
-            !dir.join("ghost.snap.tmp").exists(),
-            "logless orphan not swept"
-        );
-        assert_eq!(
-            recovered[0].1.restored_events + recovered[0].1.replayed_events,
-            events.len() as u64
-        );
-        assert_eq!(answers(&service, recovered[0].1.id, &probes), expected);
-    }
-
-    #[test]
-    fn recovery_from_snapshot_plus_tail_is_byte_identical() {
-        let run = fig_run();
-        let events = events_of(&run);
-        let probes = probes(&run);
-        let dir = tmpdir("recover-snap");
-
-        let reference = ZigzagService::new();
-        let (ref_id, _) = reference.open_replay(&run, coord_config()).unwrap();
-        let expected = answers(&reference, ref_id, &probes);
-
-        {
-            let service = ZigzagService::new();
-            let store = SessionStore::open(&dir, StoreConfig::new().snapshot_every(3)).unwrap();
-            let id = store
-                .open_stream(
-                    &service,
-                    "feed",
-                    run.context_arc(),
-                    run.horizon(),
-                    coord_config(),
-                )
-                .unwrap();
-            for ev in &events {
-                store.append(&service, id, ev).unwrap();
-            }
-            assert!(store.snap_path("feed").exists());
-            assert!(service.stats().store.snapshots >= 1);
-        }
+        let dir = tmpdir("recover-ck");
+        persist(&dir, StoreConfig::new().snapshot_every(3), &run, &events);
 
         let service = ZigzagService::new();
         let store = SessionStore::open(&dir, StoreConfig::new().snapshot_every(3)).unwrap();
         let rec = store.recover(&service, "feed").unwrap();
-        assert!(rec.from_snapshot);
+        assert!(rec.from_checkpoint);
         assert_eq!(
             rec.restored_events + rec.replayed_events,
             events.len() as u64
         );
-        // The snapshot covered a multiple of 3; only the tail replays.
+        // The checkpoint covered a multiple of 3; only the tail replays.
+        assert_eq!(rec.restored_events % 3, 0);
         assert!(rec.replayed_events < 3);
-        assert_eq!(answers(&service, rec.id, &probes), expected);
+        assert_eq!(answers(&service, rec.id, &probes(&run)), expected(&run));
+    }
 
-        // The recovered session keeps appending durably: a second crash
-        // and recovery still matches a fresh full replay.
-        let run2 = fig_run();
-        assert_eq!(run2, run, "FFIP under the eager scheduler is deterministic");
+    #[test]
+    fn durable_sessions_write_only_their_log() {
+        let run = fig_run();
+        let events = events_of(&run);
+        let dir = tmpdir("only-log");
+        {
+            let service = ZigzagService::new();
+            let store = SessionStore::open(&dir, StoreConfig::new().snapshot_every(1)).unwrap();
+            let id = store
+                .open_stream(
+                    &service,
+                    "feed",
+                    run.context_arc(),
+                    run.horizon(),
+                    coord_config(),
+                )
+                .unwrap();
+            for ev in &events {
+                store.append(&service, id, ev).unwrap();
+                assert_eq!(listing(&dir), ["feed.log"]);
+            }
+            store.checkpoint(&service, id).unwrap();
+            service.export(id).unwrap();
+            assert_eq!(listing(&dir), ["feed.log"]);
+            assert_eq!(
+                service.stats().store.snapshots,
+                events.len() as u64 + 1,
+                "one checkpoint per append plus the explicit one"
+            );
+        }
+        let service = ZigzagService::new();
+        let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+        let rec = store.recover(&service, "feed").unwrap();
+        assert!(rec.from_checkpoint && rec.replayed_events == 0, "{rec:?}");
+        assert_eq!(listing(&dir), ["feed.log"]);
+    }
+
+    #[test]
+    fn hostile_checkpoints_fall_back_byte_identically() {
+        let run = fig_run();
+        let events = events_of(&run);
+        let probes = probes(&run);
+        let expected = expected(&run);
+        let dir = tmpdir("hostile-ck");
+        persist(&dir, StoreConfig::new().snapshot_every(3), &run, &events);
+        let pristine = fs::read_to_string(dir.join("feed.log")).unwrap();
+
+        let lines: Vec<&str> = pristine.lines().collect();
+        let cks: Vec<usize> = (0..lines.len())
+            .filter(|&k| lines[k].starts_with("ck "))
+            .collect();
+        assert!(cks.len() >= 2, "the feed should checkpoint at least twice");
+        let (prev, last) = (cks[cks.len() - 2], cks[cks.len() - 1]);
+        let covered = |k: usize| lines[..k].iter().filter(|l| l.starts_with("ev ")).count() as u64;
+        let toks: Vec<&str> = lines[last].split_whitespace().collect();
+        assert!(
+            toks[6] != "0",
+            "the last checkpoint should name warm observers"
+        );
+        let rewrite = |edits: &[(usize, String)]| -> String {
+            let mut out = String::new();
+            for (k, l) in lines.iter().enumerate() {
+                match edits.iter().find(|(at, _)| *at == k) {
+                    Some((_, new)) => out.push_str(new),
+                    None => out.push_str(l),
+                }
+                out.push('\n');
+            }
+            out
+        };
+        let last_as = |new: String| rewrite(&[(last, new)]);
+        let count: u64 = toks[1].parse().unwrap();
+
+        // (what, log text, events the checkpoint used must cover — `None`
+        // for full replay, whether the tail is torn)
+        let cases: Vec<(&str, String, Option<u64>, bool)> = vec![
+            (
+                "count disagrees with the ev records before it",
+                last_as(format!("ck {} {}", count - 1, toks[2..].join(" "))),
+                Some(covered(prev)),
+                false,
+            ),
+            (
+                "manifest names a node outside the prefix",
+                last_as(format!("{} 1 0 999 full", toks[..6].join(" "))),
+                Some(covered(prev)),
+                false,
+            ),
+            (
+                "manifest names a process outside the network",
+                last_as(format!("{} 1 7 1 full", toks[..6].join(" "))),
+                Some(covered(prev)),
+                false,
+            ),
+            (
+                "overclaimed observer count",
+                last_as(format!(
+                    "{} 4000000000 {}",
+                    toks[..6].join(" "),
+                    toks[7..].join(" ")
+                )),
+                Some(covered(prev)),
+                false,
+            ),
+            (
+                "coordination progress off the spec's B process",
+                last_as(format!("ck {count} 0 1 {}", toks[4..].join(" "))),
+                Some(covered(prev)),
+                false,
+            ),
+            (
+                "corrupt last checkpoint after a good earlier one",
+                last_as("ck zz".into()),
+                Some(covered(prev)),
+                false,
+            ),
+            (
+                "every checkpoint corrupt",
+                rewrite(
+                    &cks.iter()
+                        .map(|&k| (k, "ck ?".to_string()))
+                        .collect::<Vec<_>>(),
+                ),
+                None,
+                false,
+            ),
+            (
+                "torn checkpoint line",
+                format!("{pristine}{}", &lines[last][..lines[last].len() / 2]),
+                Some(covered(last)),
+                true,
+            ),
+        ];
+        for (what, text, covers, torn) in cases {
+            fs::write(dir.join("feed.log"), &text).unwrap();
+            let service = ZigzagService::new();
+            let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+            let rec = store.recover(&service, "feed").unwrap();
+            assert_eq!(rec.from_checkpoint, covers.is_some(), "{what}");
+            assert_eq!(rec.restored_events, covers.unwrap_or(0), "{what}");
+            assert_eq!(
+                rec.restored_events + rec.replayed_events,
+                events.len() as u64,
+                "{what}: a bad checkpoint must not drop events"
+            );
+            assert_eq!(rec.truncated, torn, "{what}");
+            if torn {
+                assert_eq!(fs::read_to_string(dir.join("feed.log")).unwrap(), pristine);
+            }
+            assert_eq!(answers(&service, rec.id, &probes), expected, "{what}");
+        }
+    }
+
+    #[test]
+    fn every_cut_of_a_checkpointed_log_recovers_its_complete_records() {
+        let run = fig_run();
+        let events = events_of(&run);
+        let dir = tmpdir("cuts");
+        persist(&dir, StoreConfig::new().snapshot_every(2), &run, &events);
+        let pristine = fs::read(dir.join("feed.log")).unwrap();
+        let header_len = {
+            let text = std::str::from_utf8(&pristine).unwrap();
+            text.find("\nev ").unwrap() + 1
+        };
+
+        // Cuts inside the header leave no context to recover to.
+        for cut in [0, 1, header_len / 2, header_len - 1] {
+            fs::write(dir.join("feed.log"), &pristine[..cut]).unwrap();
+            let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+            assert!(store.recover(&ZigzagService::new(), "feed").is_err());
+        }
+        // Past it, every record boundary, one byte in, mid-record and one
+        // byte short of it.
+        let mut start = header_len;
+        while start < pristine.len() {
+            let end = start + pristine[start..].iter().position(|&b| b == b'\n').unwrap() + 1;
+            for cut in [start, start + 1, (start + end) / 2, end - 1] {
+                fs::write(dir.join("feed.log"), &pristine[..cut]).unwrap();
+                let service = ZigzagService::new();
+                let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
+                let rec = store.recover(&service, "feed").unwrap();
+                let complete = pristine[..cut]
+                    .split_inclusive(|&b| b == b'\n')
+                    .filter(|l| l.starts_with(b"ev ") && l.ends_with(b"\n"))
+                    .count();
+                assert_eq!(
+                    rec.restored_events + rec.replayed_events,
+                    complete as u64,
+                    "cut at {cut}"
+                );
+                assert_eq!(rec.truncated, cut != start, "cut at {cut}");
+            }
+            start = end;
+        }
     }
 
     #[test]
@@ -1651,26 +1553,10 @@ mod tests {
         let run = fig_run();
         let events = events_of(&run);
         let dir = tmpdir("torn");
-
-        {
-            let service = ZigzagService::new();
-            let store = SessionStore::open(&dir, StoreConfig::new()).unwrap();
-            let id = store
-                .open_stream(
-                    &service,
-                    "feed",
-                    run.context_arc(),
-                    run.horizon(),
-                    coord_config(),
-                )
-                .unwrap();
-            for ev in &events {
-                store.append(&service, id, ev).unwrap();
-            }
-        }
+        persist(&dir, StoreConfig::new(), &run, &events);
         let pristine = fs::read(dir.join("feed.log")).unwrap();
 
-        // (tail bytes appended to the pristine log, expected drop count)
+        // (what, tail bytes appended to the pristine log)
         let cases: Vec<(&str, Vec<u8>)> = vec![
             ("torn final record", b"ev 2 9 1".to_vec()),
             ("garbage line", b"not an event\nev 0 1 0 0 0\n".to_vec()),
@@ -1727,6 +1613,76 @@ mod tests {
     }
 
     #[test]
+    fn header_fsync_goes_through_the_fault_plan() {
+        let run = fig_run();
+        let rates = FaultRates {
+            fsync_fail: 1000,
+            ..FaultRates::default()
+        };
+        let store = SessionStore::open(
+            tmpdir("header-fsync"),
+            StoreConfig::new().fsync(FsyncPolicy::Always),
+        )
+        .unwrap()
+        .with_faults(Arc::new(FaultPlan::new(3, rates)));
+        let err = store
+            .open_stream(
+                &ZigzagService::new(),
+                "feed",
+                run.context_arc(),
+                run.horizon(),
+                SessionConfig::new(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::Store { detail } if detail.contains("injected fsync")),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn on_checkpoint_policy_syncs_at_the_checkpoint_record() {
+        let run = fig_run();
+        let events = events_of(&run);
+        let dir = tmpdir("ck-fsync");
+        let rates = FaultRates {
+            fsync_fail: 1000,
+            ..FaultRates::default()
+        };
+        let config = StoreConfig::new()
+            .snapshot_every(2)
+            .fsync(FsyncPolicy::OnCheckpoint);
+        {
+            let service = ZigzagService::new();
+            let store = SessionStore::open(&dir, config)
+                .unwrap()
+                .with_faults(Arc::new(FaultPlan::with_budget(5, rates, 1)));
+            let id = store
+                .open_stream(
+                    &service,
+                    "feed",
+                    run.context_arc(),
+                    run.horizon(),
+                    coord_config(),
+                )
+                .unwrap();
+            // The first append syncs nothing; the second writes the
+            // checkpoint record and its sync fails.
+            store.append(&service, id, &events[0]).unwrap();
+            let err = store.append(&service, id, &events[1]).unwrap_err();
+            assert!(
+                matches!(&err, Error::Store { detail } if detail.contains("injected fsync")),
+                "got {err}"
+            );
+        }
+        // A failed fsync may still have landed: here the record did.
+        let service = ZigzagService::new();
+        let store = SessionStore::open(&dir, config).unwrap();
+        let rec = store.recover(&service, "feed").unwrap();
+        assert!(rec.from_checkpoint && rec.restored_events == 2, "{rec:?}");
+    }
+
+    #[test]
     fn migration_between_services_preserves_every_answer() {
         let run = fig_run();
         let probes = probes(&run);
@@ -1736,16 +1692,16 @@ mod tests {
         let expected = answers(&source, id, &probes);
 
         // In-process export/import…
-        let snap = source.export(id).unwrap();
+        let doc = source.export(id).unwrap();
         let target = ZigzagService::new();
-        let moved = target.import(snap.clone()).unwrap();
+        let moved = target.import(doc.clone()).unwrap();
         assert_eq!(answers(&target, moved, &probes), expected);
 
         // …and through the dispatch layer (what the socket path uses).
         let Response::Exported(shipped) = source.dispatch(id, &Query::Export).unwrap() else {
             panic!("export answers Exported");
         };
-        assert_eq!(*shipped, snap);
+        assert_eq!(*shipped, doc);
         let target2 = ZigzagService::new();
         let Response::Imported(moved2) = target2
             .dispatch(SessionId::from_raw(0), &Query::Import(shipped))
@@ -1765,11 +1721,5 @@ mod tests {
             actions: vec!["post-move".into()],
         };
         target.append(moved, &ev).unwrap();
-
-        // A tampered snapshot (count out of step with its run) is
-        // refused by import.
-        let mut evil = snap;
-        evil.events += 1;
-        assert!(matches!(target.import(evil), Err(Error::Store { .. })));
     }
 }

@@ -8,15 +8,14 @@
 //! reattach each log. The supervisor closes that gap:
 //!
 //! * **On startup** ([`SessionSupervisor::bind`]) every `<name>.log` in
-//!   the store directory is recovered and reattached automatically, and
-//!   orphaned `<name>.snap.tmp` files (a crash between snapshot write and
-//!   rename) are swept.
+//!   the store directory — the one durable document a session has — is
+//!   recovered and reattached automatically.
 //! * **On demand** a [`crate::Query::Recover`] frame — over a socket or
 //!   in-process — triggers the same sweep and answers which sessions it
 //!   attached, so a fleet controller can drive recovery remotely.
 //! * **Durable wire appends**: while the supervisor is attached, a
 //!   [`crate::Query::Append`] on a store-managed session routes through
-//!   [`SessionStore::append`] (log + fsync + snapshot cadence) instead of
+//!   [`SessionStore::append`] (log + fsync + checkpoint cadence) instead of
 //!   the plain in-memory path, so socket clients get exactly the
 //!   durability in-process callers get.
 //!

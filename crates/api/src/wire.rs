@@ -93,37 +93,32 @@ fn push_opt_node<W: fmt::Write>(out: &mut W, n: Option<NodeId>) -> fmt::Result {
     }
 }
 
-/// Embeds a session snapshot as `snaplines <k>` followed by the complete
-/// `zigzag-snap v1` document — the same count-then-lines shape as the
-/// `runlines` embed of fast-run responses.
-fn push_snapshot<W: fmt::Write>(out: &mut W, snap: &crate::store::SessionSnapshot) -> fmt::Result {
-    let encoded = crate::store::encode_snapshot(snap);
-    writeln!(out, "snaplines {}", encoded.lines().count())?;
-    for l in encoded.lines() {
-        out.write_str(l)?;
-        out.write_str("\n")?;
-    }
-    Ok(())
+/// Embeds a migration document as `loglines <k>` followed by the
+/// complete `zigzag-log v1` document — the same count-then-lines shape as
+/// the `runlines` embed of fast-run responses.
+fn push_log<W: fmt::Write>(out: &mut W, log: &crate::store::SessionLog) -> fmt::Result {
+    writeln!(out, "loglines {}", log.as_str().lines().count())?;
+    out.write_str(log.as_str())
 }
 
-/// Reads a `snaplines`-embedded snapshot back, count-validated before
+/// Reads a `loglines`-embedded document back, count-validated before
 /// any line is consumed.
-fn pull_snapshot(lines: &mut Lines<'_>) -> Result<crate::store::SessionSnapshot, Error> {
+fn pull_log(lines: &mut Lines<'_>) -> Result<crate::store::SessionLog, Error> {
     let kline = lines.next()?;
     let kno = lines.line_no();
     let mut kt = Tokens::new(kline, kno);
-    if kt.next()? != "snaplines" {
-        return Err(bad(kno, "expected snaplines"));
+    if kt.next()? != "loglines" {
+        return Err(bad(kno, "expected loglines"));
     }
-    let k = lines.expect_lines(kt.num()?, "embedded snapshot")?;
+    let k = lines.expect_lines(kt.num()?, "embedded log")?;
     kt.done()?;
     let mut encoded = String::new();
     for _ in 0..k {
         encoded.push_str(lines.next()?);
         encoded.push('\n');
     }
-    crate::store::decode_snapshot(&encoded)
-        .map_err(|e| bad(lines.line_no(), format!("embedded snapshot: {e}")))
+    crate::store::SessionLog::parse(encoded)
+        .map_err(|e| bad(lines.line_no(), format!("embedded log: {e}")))
 }
 
 fn encode_query_into<W: fmt::Write>(out: &mut W, q: &Query) -> fmt::Result {
@@ -187,9 +182,9 @@ fn encode_query_into<W: fmt::Write>(out: &mut W, q: &Query) -> fmt::Result {
         Query::CoordDecision => out.write_str("coord\n"),
         Query::Stats => out.write_str("stats\n"),
         Query::Export => out.write_str("export\n"),
-        Query::Import(snap) => {
+        Query::Import(log) => {
             out.write_str("import\n")?;
-            push_snapshot(out, snap)
+            push_log(out, log)
         }
         Query::Append(ev) => {
             // `append` followed by one `ev …` line in the run codec's
@@ -340,9 +335,9 @@ fn encode_response_into<W: fmt::Write>(out: &mut W, r: &Response) -> fmt::Result
             }
             Ok(())
         }
-        Response::Exported(snap) => {
+        Response::Exported(log) => {
             out.write_str("exported\n")?;
-            push_snapshot(out, snap)
+            push_log(out, log)
         }
         Response::Imported(id) => writeln!(out, "imported {}", id.raw()),
         Response::Appended(n) => writeln!(out, "appended {n}"),
@@ -582,7 +577,7 @@ fn decode_query_from(lines: &mut Lines<'_>, depth: usize) -> Result<Query, Error
         }
         "import" => {
             t.done()?;
-            return Ok(Query::Import(Box::new(pull_snapshot(lines)?)));
+            return Ok(Query::Import(Box::new(pull_log(lines)?)));
         }
         "batch" => {
             if depth >= MAX_BATCH_DEPTH {
@@ -833,7 +828,7 @@ fn decode_response_from(lines: &mut Lines<'_>, depth: usize) -> Result<Response,
         }
         "exported" => {
             t.done()?;
-            Ok(Response::Exported(Box::new(pull_snapshot(lines)?)))
+            Ok(Response::Exported(Box::new(pull_log(lines)?)))
         }
         "imported" => {
             let raw: u64 = t.num()?;
@@ -1053,8 +1048,8 @@ mod tests {
 
     #[test]
     fn migration_documents_round_trip_and_reject_malformations() {
-        // A real session snapshot (with events, a spec and a warm
-        // observer set) to embed in Import/Exported documents.
+        // A real session log (its events, then its closing checkpoint)
+        // to embed in Import/Exported documents.
         let mut b = zigzag_bcm::Network::builder();
         let c = b.add_process("C");
         let a = b.add_process("A");
@@ -1075,14 +1070,14 @@ mod tests {
         let (id, _) = service
             .open_replay(&run, crate::SessionConfig::new())
             .unwrap();
-        let snap = service.export(id).unwrap();
+        let log = service.export(id).unwrap();
 
-        for q in [Query::Export, Query::Import(Box::new(snap.clone()))] {
+        for q in [Query::Export, Query::Import(Box::new(log.clone()))] {
             let text = encode_query(&q);
             assert_eq!(decode_query(&text).unwrap(), q, "{text}");
         }
         for r in [
-            Response::Exported(Box::new(snap.clone())),
+            Response::Exported(Box::new(log.clone())),
             Response::Imported(crate::service::SessionId::from_raw(41)),
         ] {
             let text = encode_response(&r);
@@ -1090,12 +1085,50 @@ mod tests {
         }
 
         // Malformations: trailing tokens, a bad embed count, an embedded
-        // snapshot that does not decode.
+        // log that does not decode.
         assert!(decode_query("zigzag-query v1\nexport extra\n").is_err());
-        assert!(decode_query("zigzag-query v1\nimport\nsnaplines 2\nzigzag-snap v1\n").is_err());
-        assert!(decode_query("zigzag-query v1\nimport\nsnaplines 1\ngarbage\n").is_err());
+        assert!(decode_query("zigzag-query v1\nimport\nloglines 2\nzigzag-log v1\n").is_err());
+        assert!(decode_query("zigzag-query v1\nimport\nloglines 1\ngarbage\n").is_err());
         assert!(decode_response("zigzag-response v1\nimported x\n").is_err());
-        assert!(decode_response("zigzag-response v1\nexported\nsnaplines 1\ngarbage\n").is_err());
+        assert!(decode_response("zigzag-response v1\nexported\nloglines 1\ngarbage\n").is_err());
+
+        // An embedded document missing lines its count claims, cut inside
+        // its header, or carrying a record that does not decode is a wire
+        // error — never a panic.
+        let import = encode_query(&Query::Import(Box::new(log.clone())));
+        let lines: Vec<&str> = import.lines().collect();
+        for keep in 3..lines.len() {
+            let doc: String = lines[..keep].iter().map(|l| format!("{l}\n")).collect();
+            assert!(
+                matches!(decode_query(&doc), Err(crate::Error::Wire { .. })),
+                "cut to {keep} lines accepted"
+            );
+        }
+        let header_cut = format!(
+            "zigzag-query v1\nimport\nloglines 3\n{}\n",
+            lines[3..6].join("\n")
+        );
+        assert!(matches!(
+            decode_query(&header_cut),
+            Err(crate::Error::Wire { .. })
+        ));
+        let garbled = import.replacen("\nev ", "\nevil ", 1);
+        assert!(matches!(
+            decode_query(&garbled),
+            Err(crate::Error::Wire { .. })
+        ));
+        // A bad checkpoint is skipped, not refused: it drops no events.
+        let last_ck = log.as_str().lines().last().unwrap();
+        let skipped = import.replacen(last_ck, "ck 4000000000 . . . . 0", 1);
+        let Query::Import(doc) = decode_query(&skipped).unwrap() else {
+            panic!("an import decodes to Import");
+        };
+        assert_eq!(doc.events(), log.events());
+        let moved = service.import(*doc).unwrap();
+        assert_eq!(
+            service.event_count(moved).unwrap(),
+            service.event_count(id).unwrap()
+        );
 
         // A stats document missing (or overclaiming) the store line is
         // refused like any other count malformation.
@@ -1131,7 +1164,7 @@ mod tests {
                 "{doc}"
             );
         }
-        let doc = format!("zigzag-query v1\nimport\nsnaplines {huge}\n");
+        let doc = format!("zigzag-query v1\nimport\nloglines {huge}\n");
         assert!(
             matches!(decode_query(&doc), Err(crate::Error::Wire { .. })),
             "{doc}"
@@ -1140,7 +1173,7 @@ mod tests {
             format!("zigzag-response v1\nbatch {huge}\n"),
             format!("zigzag-response v1\nmatrix {huge}\nmnodes\n"),
             format!("zigzag-response v1\nfastrun 0 1 0 5\nrunlines {huge}\n"),
-            format!("zigzag-response v1\nexported\nsnaplines {huge}\n"),
+            format!("zigzag-response v1\nexported\nloglines {huge}\n"),
         ] {
             assert!(
                 matches!(decode_response(&doc), Err(crate::Error::Wire { .. })),

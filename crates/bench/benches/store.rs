@@ -1,6 +1,6 @@
 //! B11 — durable sessions: what the event log costs over a pure
-//! in-memory stream, what a snapshot costs to write, and what snapshots
-//! buy at recovery time.
+//! in-memory stream, what a checkpoint record costs to write, and what
+//! checkpoints buy at recovery time.
 //!
 //! One workload shared by every row: a 6-process random network
 //! (`scaled_context(6, 0.3, 11)`), one recorded run to horizon 400
@@ -18,16 +18,17 @@
 //!   encoded line and one buffered write per event. CI gates the
 //!   logged/memory ratio (the log's write amplification), not absolute
 //!   time.
-//! * `store/snapshot-write/N` — one [`SessionStore::snapshot`] of the
-//!   fully-fed N-event session: freeze, replay-verify, atomic
-//!   tmp-write + rename install.
-//! * `store/recover-replay/N` — [`SessionStore::recover`] from the log
-//!   alone (no snapshot on disk): full decode + replay of all N events.
-//! * `store/recover-snapshot/N` — recover with a snapshot covering the
-//!   whole run: surface-scan the log, restore the prefix in bulk,
-//!   replay a zero-event tail. Both paths share the decode-and-validate
-//!   floor, so the snapshot wins modestly (~1.2× here), never 10×; CI
-//!   gates that restore does not *lose* to replay.
+//! * `store/checkpoint-write/N` — one [`SessionStore::checkpoint`] of
+//!   the fully-fed N-event session: one `ck` record (coordination
+//!   progress + warm-observer manifest) appended to the log.
+//! * `store/recover-replay/N` — [`SessionStore::recover`] from a log
+//!   with no checkpoint record: full decode + replay of all N events
+//!   through the append path.
+//! * `store/recover-checkpoint/N` — recover a log whose last record is a
+//!   checkpoint covering the whole run: decode every record, rebuild the
+//!   prefix in bulk, replay a zero-event tail. Both paths share the
+//!   decode-and-validate floor, so the checkpoint wins modestly, never
+//!   10×; CI gates that checkpoint recovery does not *lose* to replay.
 //!
 //! `ns/iter ÷ 64` prices one event for the `append-*` rows
 //! (`STORE_EVENTS_PER_ITER` in `bench_report` renders the derived
@@ -99,8 +100,8 @@ fn probe_answers(service: &ZigzagService, id: SessionId, run: &Run) -> Vec<Respo
 }
 
 /// Feed a full durable session named `s` into `dir`, optionally capping
-/// with a snapshot, then drop everything (the "crash").
-fn persist(dir: &std::path::Path, run: &Run, events: &[RunEvent], with_snapshot: bool) {
+/// with a checkpoint record, then drop everything (the "crash").
+fn persist(dir: &std::path::Path, run: &Run, events: &[RunEvent], with_checkpoint: bool) {
     let store = SessionStore::open(dir, StoreConfig::new()).unwrap();
     let service = ZigzagService::new();
     let id = store
@@ -115,8 +116,8 @@ fn persist(dir: &std::path::Path, run: &Run, events: &[RunEvent], with_snapshot:
     for ev in events {
         store.append(&service, id, ev).unwrap();
     }
-    if with_snapshot {
-        assert!(store.snapshot(&service, id).unwrap(), "snapshot skipped");
+    if with_checkpoint {
+        store.checkpoint(&service, id).unwrap();
     }
 }
 
@@ -223,11 +224,11 @@ fn store_costs(c: &mut Criterion) {
     }
     let _ = std::fs::remove_dir_all(&append_dir);
 
-    // Snapshot cost over a fully-fed session; each iteration re-installs
-    // the snapshot through the same tmp-write + rename path.
-    let snap_write_dir = scratch("snapwrite");
+    // Checkpoint cost over a fully-fed session; each iteration appends
+    // one more checkpoint record to the same log.
+    let ck_write_dir = scratch("ckwrite");
     {
-        let store = SessionStore::open(&snap_write_dir, StoreConfig::new()).unwrap();
+        let store = SessionStore::open(&ck_write_dir, StoreConfig::new()).unwrap();
         let service = ZigzagService::new();
         let id = store
             .open_stream(
@@ -241,21 +242,23 @@ fn store_costs(c: &mut Criterion) {
         for ev in &events {
             store.append(&service, id, ev).unwrap();
         }
-        group.bench_with_input(BenchmarkId::new("snapshot-write", total), &total, |b, _| {
-            b.iter(|| {
-                assert!(store.snapshot(&service, id).unwrap(), "snapshot skipped");
-            });
-        });
+        group.bench_with_input(
+            BenchmarkId::new("checkpoint-write", total),
+            &total,
+            |b, _| {
+                b.iter(|| store.checkpoint(&service, id).unwrap());
+            },
+        );
     }
-    let _ = std::fs::remove_dir_all(&snap_write_dir);
+    let _ = std::fs::remove_dir_all(&ck_write_dir);
 
-    // Two persisted states, prepared once: a log-only directory and a
-    // snapshot-covered one. Recovery reads, replays, and installs into
-    // a fresh service each iteration.
+    // Two persisted states, prepared once: a log with no checkpoint and
+    // one ending in a checkpoint. Recovery reads, replays, and installs
+    // into a fresh service each iteration.
     let replay_dir = scratch("recover-replay");
-    let snap_dir = scratch("recover-snap");
+    let ck_dir = scratch("recover-ck");
     persist(&replay_dir, &run, &events, false);
-    persist(&snap_dir, &run, &events, true);
+    persist(&ck_dir, &run, &events, true);
 
     group.bench_with_input(BenchmarkId::new("recover-replay", total), &total, |b, _| {
         b.iter(|| {
@@ -267,21 +270,21 @@ fn store_costs(c: &mut Criterion) {
     });
 
     group.bench_with_input(
-        BenchmarkId::new("recover-snapshot", total),
+        BenchmarkId::new("recover-checkpoint", total),
         &total,
         |b, _| {
             b.iter(|| {
-                let store = SessionStore::open(&snap_dir, StoreConfig::new()).unwrap();
+                let store = SessionStore::open(&ck_dir, StoreConfig::new()).unwrap();
                 let service = ZigzagService::new();
                 let rec = store.recover(&service, "s").unwrap();
-                assert!(rec.from_snapshot && rec.replayed_events == 0, "{rec:?}");
+                assert!(rec.from_checkpoint && rec.replayed_events == 0, "{rec:?}");
             });
         },
     );
 
     group.finish();
     let _ = std::fs::remove_dir_all(&replay_dir);
-    let _ = std::fs::remove_dir_all(&snap_dir);
+    let _ = std::fs::remove_dir_all(&ck_dir);
 }
 
 criterion_group!(benches, store_costs);

@@ -1,16 +1,17 @@
 //! Durability: log, crash, recover, and migrate a live session.
 //!
 //! Feeds a stream session through a [`SessionStore`] that logs every
-//! append and installs a snapshot on cadence, then kills the process
-//! state, tears the log mid-record the way a real crash does, and
-//! recovers: the torn tail is dropped, the snapshot restores the prefix
-//! in bulk, and the log tail replays through the normal append path.
+//! append and appends a checkpoint record on cadence, then kills the
+//! process state, tears the log mid-record the way a real crash does, and
+//! recovers: the torn tail is dropped, the prefix up to the last
+//! checkpoint is restored in bulk, and the log tail replays through the
+//! normal append path.
 //! The recovered session's probe answers are asserted byte-identical to
 //! a session that never crashed.
 //!
 //! The second act moves the recovered session between two *live*
 //! processes: two `NetServer`s on Unix sockets, a `Query::Export` frame
-//! on one, the returned `zigzag-snap v1` document fed to the other as a
+//! on one, the returned `zigzag-log v1` document fed to the other as a
 //! `Query::Import` frame, and the same probe asked of both — the
 //! answers come back identical down to the byte.
 //!
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = Simulator::new(ctx, SimConfig::with_horizon(Time::new(60)));
     sim.external(Time::new(3), c, "go");
     // A steady drip of later signals so the feed is long enough for the
-    // snapshot cadence to engage.
+    // checkpoint cadence to engage.
     for (i, t) in (8..45).step_by(4).enumerate() {
         sim.external(Time::new(t), c, format!("tick-{i}"));
     }
@@ -82,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         service.dispatch(id, &probe)?
     };
 
-    // ── Act 1: log every append, snapshot on cadence, crash, recover ──
+    // ── Act 1: log every append, checkpoint on cadence, crash, recover ──
     let root = std::env::temp_dir().join(format!("zigzag-durable-example-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     {
@@ -113,8 +114,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let service = Arc::new(ZigzagService::sharded(4));
     let rec = store.recover(&service, "flight")?;
     println!(
-        "recovered: snapshot={} restored={} replayed={} torn-tail-dropped={}",
-        rec.from_snapshot, rec.restored_events, rec.replayed_events, rec.truncated
+        "recovered: checkpoint={} restored={} replayed={} torn-tail-dropped={}",
+        rec.from_checkpoint, rec.restored_events, rec.replayed_events, rec.truncated
     );
     assert!(rec.truncated, "the torn record should have been dropped");
     let answer = service.dispatch(rec.id, &probe)?;
@@ -143,15 +144,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Export from A: the session becomes one self-contained document.
     write_envelope(&mut conn_a, &serve::encode_frame(rec.id, &Query::Export))?;
     let doc = read_envelope(&mut conn_a, 1 << 22)?.expect("server A closed early");
-    let Response::Exported(snap) = wire::decode_response(&doc)? else {
-        panic!("export answered with a non-snapshot document");
+    let Response::Exported(log) = wire::decode_response(&doc)? else {
+        panic!("export answered with a non-log document");
     };
-    println!("exported a {}-event snapshot from server A", snap.events);
+    println!("exported a {}-event log from server A", log.events());
 
     // Import into B: any session line routes an import frame.
     write_envelope(
         &mut conn_b,
-        &serve::encode_frame(SessionId::from_raw(0), &Query::Import(snap)),
+        &serve::encode_frame(SessionId::from_raw(0), &Query::Import(log)),
     )?;
     let doc = read_envelope(&mut conn_b, 1 << 22)?.expect("server B closed early");
     let Response::Imported(moved) = wire::decode_response(&doc)? else {

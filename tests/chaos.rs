@@ -22,15 +22,15 @@
 //! seeds with a wall-clock guard (a hang is a failure, not a timeout to
 //! shrug at).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use zigzag::api::{
-    ClientConfig, CoordKind, Error, FaultPlan, FaultRates, NetConfig, NetServer, Query,
-    ResilientClient, Response, SessionConfig, SessionId, SessionStore, SessionSupervisor,
+    ClientConfig, CoordKind, Error, FaultPlan, FaultRates, FsyncPolicy, NetConfig, NetServer,
+    Query, ResilientClient, Response, SessionConfig, SessionId, SessionStore, SessionSupervisor,
     StoreConfig, TimedCoordination, ZigzagService,
 };
 use zigzag::bcm::protocols::Ffip;
@@ -243,9 +243,32 @@ fn net_chaos_case(seed: u64, budget: u64) -> u64 {
 // Test B: store faults with crash + supervised recovery.
 // ---------------------------------------------------------------------
 
-/// Store chaos: torn log writes, failed fsyncs, and disk-full snapshots,
-/// budget-bounded. Every store failure is treated as fatal for the
-/// process — the service is dropped on the spot and a fresh
+/// Binds a fresh supervisor over `dir` after a crash (the caller has
+/// dropped the old stack) and returns the new service, supervisor and
+/// the recovered `feed` session.
+fn rebind(
+    dir: &Path,
+    config: StoreConfig,
+    plan: Option<&Arc<FaultPlan>>,
+) -> (Arc<ZigzagService>, Arc<SessionSupervisor>, SessionId) {
+    let service = Arc::new(ZigzagService::new());
+    let mut store = SessionStore::open(dir, config).unwrap();
+    if let Some(plan) = plan {
+        store = store.with_faults(Arc::clone(plan));
+    }
+    let (sup, recs) = SessionSupervisor::bind(Arc::clone(&service), Arc::new(store)).unwrap();
+    assert_eq!(recs.len(), 1, "the sweep missed the session");
+    assert_eq!(recs[0].0, "feed");
+    let id = recs[0].1.id;
+    (service, sup, id)
+}
+
+/// Store chaos: torn log records (events and checkpoints alike) and
+/// failed fsyncs, budget-bounded. The log is synced after every record
+/// (`FsyncPolicy::Always`), so the fsync site fires — the header's sync
+/// included — and a failed sync whose record still landed is exercised.
+/// Every store failure is treated as fatal for the process —
+/// the service is dropped on the spot and a fresh
 /// [`SessionSupervisor::bind`] recovers the directory — after which an
 /// event-count probe resolves the did-it-land ambiguity and appending
 /// resumes. The fully-fed state must answer byte-identically to the
@@ -270,13 +293,14 @@ fn store_chaos_case(seed: u64, budget: u64) -> u64 {
     }
 
     let rates = FaultRates {
-        torn_log_write: 120,
-        fsync_fail: 100,
-        snapshot_full: 150,
+        torn_log_write: 150,
+        fsync_fail: 150,
         ..FaultRates::default()
     };
     let plan = Arc::new(FaultPlan::with_budget(seed, rates, budget));
-    let store_config = StoreConfig::new().snapshot_every(3);
+    let store_config = StoreConfig::new()
+        .snapshot_every(3)
+        .fsync(FsyncPolicy::Always);
 
     // First life.
     let mut service = Arc::new(ZigzagService::new());
@@ -287,19 +311,31 @@ fn store_chaos_case(seed: u64, budget: u64) -> u64 {
     );
     let (mut sup, swept) = SessionSupervisor::bind(Arc::clone(&service), store).unwrap();
     assert!(swept.is_empty());
-    let mut id: SessionId = sup
-        .store()
-        .open_stream(
-            &service,
-            "feed",
-            run.context_arc(),
-            run.horizon(),
-            config.clone(),
-        )
-        .unwrap();
+    let mut lives = 0u32;
+    let opened = sup.store().open_stream(
+        &service,
+        "feed",
+        run.context_arc(),
+        run.horizon(),
+        config.clone(),
+    );
+    let mut id: SessionId = match opened {
+        Ok(id) => id,
+        Err(Error::Store { detail }) => {
+            // A failed header fsync: the header was written, so the log
+            // recovers as an empty session.
+            assert!(detail.contains("injected"), "real store failure: {detail}");
+            lives += 1;
+            drop(sup);
+            let id;
+            (service, sup, id) = rebind(&dir, store_config, Some(&plan));
+            assert_eq!(service.event_count(id).unwrap(), 0);
+            id
+        }
+        Err(e) => panic!("open gave unexpected error: {e}"),
+    };
 
     let mut done = 0usize; // events durably landed, probe-confirmed
-    let mut lives = 0u32;
     while done < events.len() {
         match service.dispatch(id, &Query::Append(Box::new(events[done].clone()))) {
             Ok(Response::Appended(n)) => {
@@ -317,18 +353,7 @@ fn store_chaos_case(seed: u64, budget: u64) -> u64 {
                     "more crashes than injected faults — recovery is not making progress"
                 );
                 drop(sup);
-                service = Arc::new(ZigzagService::new());
-                let store = Arc::new(
-                    SessionStore::open(&dir, store_config)
-                        .unwrap()
-                        .with_faults(Arc::clone(&plan)),
-                );
-                let (next_sup, recs) =
-                    SessionSupervisor::bind(Arc::clone(&service), store).unwrap();
-                sup = next_sup;
-                assert_eq!(recs.len(), 1, "life {lives}: sweep missed the session");
-                assert_eq!(recs[0].0, "feed");
-                id = recs[0].1.id;
+                (service, sup, id) = rebind(&dir, store_config, Some(&plan));
                 // The exactly-once probe: a failed fsync may leave the
                 // event durable even though the append errored. Trust
                 // the recovered count, never a blind resend.
@@ -348,12 +373,7 @@ fn store_chaos_case(seed: u64, budget: u64) -> u64 {
     for crash_once_more in [false, true] {
         if crash_once_more {
             drop(sup);
-            service = Arc::new(ZigzagService::new());
-            let store = Arc::new(SessionStore::open(&dir, store_config).unwrap());
-            let (next_sup, recs) = SessionSupervisor::bind(Arc::clone(&service), store).unwrap();
-            sup = next_sup;
-            assert_eq!(recs.len(), 1);
-            id = recs[0].1.id;
+            (service, sup, id) = rebind(&dir, store_config, None);
         }
         assert_eq!(service.event_count(id).unwrap(), events.len() as u64);
         for q in probes(&prefix_nodes) {

@@ -1018,7 +1018,7 @@ proptest! {
     /// durable session and, after EVERY append, crash (drop nothing
     /// gracefully — just re-read the files) and recover into a fresh
     /// service. Every recovered answer must equal the uninterrupted
-    /// session's at the same prefix, with and without snapshots; the
+    /// session's at the same prefix, with and without checkpoints; the
     /// final state must also survive an export/import migration.
     #[test]
     fn recovery_at_every_append_boundary_is_byte_identical(
@@ -1038,9 +1038,9 @@ proptest! {
             ProcessId::new((n - 1) as u32),
             ProcessId::new(0),
         ));
-        // snap_every == 0 means log-only durability; otherwise snapshots
-        // land every 1..=3 appends, so most boundaries recover through
-        // snapshot + tail.
+        // snap_every == 0 means no checkpoints; otherwise a checkpoint
+        // record lands every 1..=3 appends, so most boundaries recover
+        // through checkpoint + tail.
         let store_config = if snap_every == 0 {
             StoreConfig::new()
         } else {
