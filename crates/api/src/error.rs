@@ -32,7 +32,10 @@ pub enum Error {
         /// The offending id.
         id: SessionId,
     },
-    /// The query needs a live stream but the session is a batch session.
+    /// The operation (append, event count, export) needs a live stream,
+    /// but the session is sealed: it was opened over a complete recorded
+    /// run with [`crate::ZigzagService::open_batch`]. The display text
+    /// still says "batch session"; clients match it verbatim.
     NotStreaming {
         /// The offending id.
         id: SessionId,
@@ -49,7 +52,7 @@ pub enum Error {
     },
     /// A [`crate::Query::Stats`] query reached a bare session — inside a
     /// [`crate::Query::QueryBatch`], or through a direct
-    /// [`crate::Session::dispatch`] — where no service-wide state exists
+    /// [`crate::StreamSession::dispatch`] — where no service-wide state exists
     /// to answer it.
     ServiceLevelQuery,
     /// A [`crate::net`] worker's bounded queue was full when the frame

@@ -12,7 +12,7 @@
 //! * **no cross-worker locking on the steady path** — a shard's handle
 //!   map is only ever touched by its owning worker during the loop, so
 //!   its mutex never contends, and dispatch itself runs on the resolved
-//!   [`Session`] outside any table lock;
+//!   [`StreamSession`] outside any table lock;
 //! * **per-session arrival order** — all frames of one session land on
 //!   one worker, which processes its frames in arrival order; responses
 //!   are written back into the arrival-order slot of the output, so each
@@ -56,7 +56,7 @@ use std::time::Instant;
 use crate::error::Error;
 use crate::query::{Query, Response};
 use crate::service::{SessionId, ZigzagService};
-use crate::session::Session;
+use crate::session::StreamSession;
 use crate::stats::TransportStats;
 use crate::wire;
 
@@ -220,7 +220,7 @@ pub(crate) struct NetView<'a> {
 pub(crate) fn respond_into(
     service: &ZigzagService,
     frame: &str,
-    memo: &mut HashMap<u64, Arc<Session>>,
+    memo: &mut HashMap<u64, Arc<StreamSession>>,
     net: Option<&NetView<'_>>,
     out: &mut String,
 ) {
@@ -296,7 +296,11 @@ pub(crate) fn respond_into(
 
 /// [`respond_into`] for the in-process loop, which has no worker queues
 /// or transport counters to report and collects owned documents anyway.
-fn respond(service: &ZigzagService, frame: &str, memo: &mut HashMap<u64, Arc<Session>>) -> String {
+fn respond(
+    service: &ZigzagService,
+    frame: &str,
+    memo: &mut HashMap<u64, Arc<StreamSession>>,
+) -> String {
     let mut out = String::new();
     respond_into(service, frame, memo, None, &mut out);
     out

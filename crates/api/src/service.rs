@@ -2,9 +2,10 @@
 //! queries.
 //!
 //! The service is the single public entry point the ROADMAP's serving
-//! system builds on: callers open typed sessions (batch runs or live
-//! streams), append events, and dispatch [`Query`]s — no hand-wiring of
-//! `Simulator` / `RunAnalyzer` / `KnowledgeEngine` / `IncrementalEngine`
+//! system builds on: callers open sessions — live streams, or sealed
+//! sessions over complete recorded runs (one session kind, see
+//! [`crate::session`]) — append events, and dispatch [`Query`]s — no
+//! hand-wiring of `Simulator` / `KnowledgeEngine` / `IncrementalEngine`
 //! / `StreamDriver` lifetimes. Every later scaling layer (sharded
 //! services, async front ends, networked serving over the wire encoding)
 //! is a deployment of this surface.
@@ -21,7 +22,7 @@ use zigzag_bcm::{Context, Run, RunCursor, Time};
 use crate::config::SessionConfig;
 use crate::error::Error;
 use crate::query::{Query, Response};
-use crate::session::{AppendReport, BatchSession, Session, StreamSession};
+use crate::session::{AppendReport, StreamSession};
 use crate::stats::{LatencyRecorder, StatsReport, StoreStats, TransportCounters};
 use crate::store::SessionLog;
 
@@ -56,7 +57,7 @@ const DEFAULT_SHARDS: usize = 16;
 /// shards outright.
 #[derive(Debug, Default)]
 struct Shard {
-    sessions: Mutex<HashMap<u64, Arc<Session>>>,
+    sessions: Mutex<HashMap<u64, Arc<StreamSession>>>,
 }
 
 /// The service's monotone serving counters; see [`crate::stats`].
@@ -197,19 +198,16 @@ impl ZigzagService {
         &self.metrics.store
     }
 
-    /// Writes a live stream session out as a portable [`SessionLog`]
-    /// ending in a checkpoint — the sending half of live migration (and
-    /// the in-process form of [`Query::Export`]). The session keeps
-    /// serving; the document is a consistent point-in-time copy.
+    /// Writes a live session out as a portable [`SessionLog`] ending in
+    /// a checkpoint — the sending half of live migration (and the
+    /// in-process form of [`Query::Export`]). The session keeps serving;
+    /// the document is a consistent point-in-time copy.
     ///
     /// # Errors
     ///
-    /// Fails on unknown or batch sessions, or if the session is poisoned.
+    /// Fails on unknown or sealed sessions, or if the session is poisoned.
     pub fn export(&self, id: SessionId) -> Result<SessionLog, Error> {
-        let session = self.session(id)?;
-        let Session::Stream(s) = &*session else {
-            return Err(Error::NotStreaming { id });
-        };
+        let s = self.live(id)?;
         let log = s.with_checkpoint(|run, ck| SessionLog::write(s.config(), run, &ck))?;
         self.metrics
             .store
@@ -218,7 +216,7 @@ impl ZigzagService {
         Ok(log)
     }
 
-    /// Installs a shipped [`SessionLog`] as a new stream session of this
+    /// Installs a shipped [`SessionLog`] as a new live session of this
     /// service, answering the handle it was assigned — the receiving
     /// half of live migration (and the in-process form of
     /// [`Query::Import`]). It takes the parse-and-restore path crash
@@ -235,15 +233,15 @@ impl ZigzagService {
             .store
             .migrations
             .fetch_add(1, Ordering::Relaxed);
-        Ok(self.insert(Session::Stream(session)))
+        Ok(self.insert(session))
     }
 
     /// Installs an already-built session — the store's recovery path.
-    pub(crate) fn install(&self, session: Session) -> SessionId {
+    pub(crate) fn install(&self, session: StreamSession) -> SessionId {
         self.insert(session)
     }
 
-    fn insert(&self, session: Session) -> SessionId {
+    fn insert(&self, session: StreamSession) -> SessionId {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         // Table locks guard pure HashMap operations that cannot be
         // interrupted by a panic mid-mutation, so a poisoned lock (left
@@ -259,7 +257,7 @@ impl ZigzagService {
 
     /// Resolves a handle to its session, holding only the owning shard's
     /// lock, and only for the lookup.
-    pub(crate) fn session(&self, id: SessionId) -> Result<Arc<Session>, Error> {
+    pub(crate) fn session(&self, id: SessionId) -> Result<Arc<StreamSession>, Error> {
         self.shards[self.shard_of(id)]
             .sessions
             .lock()
@@ -269,9 +267,23 @@ impl ZigzagService {
             .ok_or(Error::UnknownSession { id })
     }
 
-    /// Opens a batch session over a complete recorded run.
+    /// Resolves a handle to a session that may still grow: a sealed
+    /// session is refused with [`Error::NotStreaming`] here, before any
+    /// caller can reach its write lock.
+    pub(crate) fn live(&self, id: SessionId) -> Result<Arc<StreamSession>, Error> {
+        let session = self.session(id)?;
+        if session.is_sealed() {
+            return Err(Error::NotStreaming { id });
+        }
+        Ok(session)
+    }
+
+    /// Opens a sealed session over a complete recorded run: the message
+    /// index, `GB(r)` and (with a spec) the Protocol 2 verdict are built
+    /// here, once. It answers every query a stream session does, and
+    /// refuses appends, event counts and exports.
     pub fn open_batch(&self, run: Run, config: SessionConfig) -> SessionId {
-        self.insert(Session::Batch(BatchSession::new(run, config)))
+        self.insert(StreamSession::sealed(run, config))
     }
 
     /// Opens a stream session over an empty stream on `context`,
@@ -283,9 +295,7 @@ impl ZigzagService {
         horizon: Time,
         config: SessionConfig,
     ) -> SessionId {
-        self.insert(Session::Stream(StreamSession::new(
-            context, horizon, config,
-        )))
+        self.insert(StreamSession::new(context, horizon, config))
     }
 
     /// Opens a stream session and replays a recorded run into it event by
@@ -307,7 +317,7 @@ impl ZigzagService {
         while let Some(ev) = cursor.next_event() {
             reports.push(session.append(&ev)?);
         }
-        Ok((self.insert(Session::Stream(session)), reports))
+        Ok((self.insert(session), reports))
     }
 
     /// Appends one event to a stream session. Only that session's own
@@ -315,14 +325,11 @@ impl ZigzagService {
     ///
     /// # Errors
     ///
-    /// Fails on unknown or batch sessions, or if the event is
+    /// Fails on unknown or sealed sessions, or if the event is
     /// inconsistent with the grown prefix (which poisons the session's
     /// engine, as `IncrementalEngine::append_event` documents).
     pub fn append(&self, id: SessionId, ev: &RunEvent) -> Result<AppendReport, Error> {
-        match &*self.session(id)? {
-            Session::Batch(_) => Err(Error::NotStreaming { id }),
-            Session::Stream(s) => s.append(ev),
-        }
+        self.live(id)?.append(ev)
     }
 
     /// A stream session's current event count — the idempotent probe
@@ -330,12 +337,9 @@ impl ZigzagService {
     ///
     /// # Errors
     ///
-    /// Fails on unknown or batch sessions, or if the session is poisoned.
+    /// Fails on unknown or sealed sessions, or if the session is poisoned.
     pub fn event_count(&self, id: SessionId) -> Result<u64, Error> {
-        match &*self.session(id)? {
-            Session::Batch(_) => Err(Error::NotStreaming { id }),
-            Session::Stream(s) => Ok(s.event_count()? as u64),
-        }
+        Ok(self.live(id)?.event_count()? as u64)
     }
 
     /// The append path behind [`Query::Append`]: routes through the
@@ -451,7 +455,7 @@ impl ZigzagService {
         let mut sessions_per_shard = Vec::with_capacity(self.shards.len());
         let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
         for shard in self.shards.iter() {
-            let sessions: Vec<Arc<Session>> = shard
+            let sessions: Vec<Arc<StreamSession>> = shard
                 .sessions
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -479,14 +483,14 @@ impl ZigzagService {
         }
     }
 
-    /// Runs `f` over a session's run (batch) or grown prefix (stream)
+    /// Runs `f` over a session's run (sealed) or grown prefix (live)
     /// without cloning it. The closure must not call back into the
-    /// *same stream* session (it holds that session's read lock); calls
-    /// on other sessions — or on the same *batch* session — are fine.
+    /// *same* session (it holds that session's read lock); calls on
+    /// other sessions are fine.
     ///
     /// # Errors
     ///
-    /// Fails on unknown sessions, or with [`Error::Internal`] on a stream
+    /// Fails on unknown sessions, or with [`Error::Internal`] on a
     /// session poisoned by a panicked append.
     pub fn with_run<T>(&self, id: SessionId, f: impl FnOnce(&Run) -> T) -> Result<T, Error> {
         self.session(id)?.with_run(f)

@@ -73,7 +73,9 @@
 //! loses nothing the kernel accepted, a crash of the *host* may lose the
 //! tail — which recovery then trims to the last good record.
 //! [`FsyncPolicy::OnCheckpoint`] syncs the log at every checkpoint
-//! record; [`FsyncPolicy::Always`] syncs it after every record.
+//! record; [`FsyncPolicy::Always`] syncs it after every record, and syncs
+//! the store directory once a new log's header is synced, so the log's
+//! directory entry is durable too.
 //!
 //! A synced checkpoint record protects exactly the events a separate
 //! snapshot file would. Such a file could outlive a log that lost a
@@ -115,7 +117,7 @@ use crate::config::{CachePolicy, SessionConfig};
 use crate::error::Error;
 use crate::fault::{FaultPlan, LogFault};
 use crate::service::{SessionId, ZigzagService};
-use crate::session::{AppendReport, Session, StreamSession};
+use crate::session::{AppendReport, StreamSession};
 
 /// Version header of the per-session event log.
 pub const LOG_HEADER: &str = "zigzag-log v1";
@@ -775,21 +777,30 @@ impl SessionStore {
         self.open.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Syncs session `name`'s log through [`SessionStore::sync`].
+    fn sync_file(&self, file: &File, name: &str) -> Result<(), Error> {
+        self.sync(file, || self.log_path(name))
+    }
+
+    /// Syncs the store directory itself through [`SessionStore::sync`],
+    /// making the entries of newly created logs durable.
+    fn sync_root(&self) -> Result<(), Error> {
+        let dir = File::open(&self.root).map_err(|e| io_err("opening", &self.root, e))?;
+        self.sync(&dir, || self.root.clone())
+    }
+
     /// `sync_all` with the fault plan's fsync site consulted first — the
     /// seam every durability-relevant sync in this store goes through.
-    fn sync_file(&self, file: &File, name: &str) -> Result<(), Error> {
+    /// `path` names the synced file in errors.
+    fn sync(&self, file: &File, path: impl Fn() -> PathBuf) -> Result<(), Error> {
         if let Some(plan) = &self.faults {
             if plan.on_fsync() {
                 return Err(Error::Store {
-                    detail: format!(
-                        "injected fsync failure on {}",
-                        self.log_path(name).display()
-                    ),
+                    detail: format!("injected fsync failure on {}", path().display()),
                 });
             }
         }
-        file.sync_all()
-            .map_err(|e| io_err("syncing", &self.log_path(name), e))
+        file.sync_all().map_err(|e| io_err("syncing", &path(), e))
     }
 
     /// Appends one record (newline included) to a session log through the
@@ -858,6 +869,7 @@ impl SessionStore {
             .map_err(|e| io_err("writing log header", &path, e))?;
         if self.config.fsync == FsyncPolicy::Always {
             self.sync_file(&log, name)?;
+            self.sync_root()?;
         }
         service
             .store_stats()
@@ -940,11 +952,9 @@ impl SessionStore {
         id: SessionId,
         st: &mut DurableSession,
     ) -> Result<(), Error> {
-        let session = service.session(id)?;
-        let Session::Stream(s) = &*session else {
-            return Err(Error::NotStreaming { id });
-        };
-        let line = s.with_checkpoint(|_, ck| checkpoint_line(&ck))?;
+        let line = service
+            .live(id)?
+            .with_checkpoint(|_, ck| checkpoint_line(&ck))?;
         self.write_record(service, st, &line)?;
         if self.config.fsync != FsyncPolicy::Never {
             self.sync_file(&st.log, &st.name)?;
@@ -997,7 +1007,7 @@ impl SessionStore {
         log.seek(SeekFrom::End(0))
             .map_err(|e| io_err("seeking log", &log_path, e))?;
 
-        let id = service.install(Session::Stream(session));
+        let id = service.install(session);
         self.lock().insert(
             id.raw(),
             DurableSession {
@@ -1638,6 +1648,43 @@ mod tests {
             matches!(&err, Error::Store { detail } if detail.contains("injected fsync")),
             "got {err}"
         );
+    }
+
+    #[test]
+    fn always_policy_syncs_the_store_directory_through_the_fault_plan() {
+        // A plan whose fsync site passes its first roll and fails its
+        // second: the header sync succeeds, so the failure must come from
+        // a second sync through the seam — the store directory's.
+        let rates = FaultRates {
+            fsync_fail: 500,
+            ..FaultRates::default()
+        };
+        let seed = (0..)
+            .find(|&seed| {
+                let plan = FaultPlan::new(seed, rates);
+                !plan.on_fsync() && plan.on_fsync()
+            })
+            .unwrap();
+        let run = fig_run();
+        let dir = tmpdir("dir-fsync");
+        let store = SessionStore::open(&dir, StoreConfig::new().fsync(FsyncPolicy::Always))
+            .unwrap()
+            .with_faults(Arc::new(FaultPlan::new(seed, rates)));
+        let err = store
+            .open_stream(
+                &ZigzagService::new(),
+                "feed",
+                run.context_arc(),
+                run.horizon(),
+                SessionConfig::new(),
+            )
+            .unwrap_err();
+        let want = format!("injected fsync failure on {}", dir.display());
+        assert!(
+            matches!(&err, Error::Store { detail } if *detail == want),
+            "got {err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -32,13 +32,13 @@
 //! coincide exactly; both are sound either way, since extra own-send
 //! evidence is evidence `B` legitimately has.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use zigzag_bcm::stream::RunEvent;
 use zigzag_bcm::{Context, NodeId, Run, RunCursor, Time};
 use zigzag_core::extended_graph::MessageIndex;
 use zigzag_core::incremental::IncrementalEngine;
-use zigzag_core::knowledge::{ObserverCache, ObserverMode, ObserverState};
+use zigzag_core::knowledge::{ObserverMode, ObserverState};
 use zigzag_core::{GeneralNode, KnowledgeEngine};
 
 use crate::error::CoordError;
@@ -69,38 +69,24 @@ impl ProbeSemantics {
     }
 }
 
-/// The one decision-state construction site: the knowledge engine a
-/// coordination decision at `sigma` runs on, under `probe`, optionally
-/// served from (and retained in) a mode-keyed [`ObserverCache`]. Every
-/// batch decision helper and the service facade route through here, so
-/// cached and uncached decisions share one code path — byte-identical by
-/// the observer-stability invariant (states of either mode never go
-/// stale; see `zigzag_core::incremental`).
+/// The one decision-state construction site of the batch helpers: a
+/// fresh knowledge engine for a coordination decision at `sigma` under
+/// `probe`, sharing the per-run [`MessageIndex`].
 fn probe_engine<'r>(
     run: &'r Run,
     sigma: NodeId,
     probe: ProbeSemantics,
     index: &MessageIndex,
-    cache: Option<&Mutex<ObserverCache>>,
 ) -> Result<KnowledgeEngine<'r>, CoordError> {
-    let mode = probe.mode();
-    let state = match cache {
-        Some(cache) => cache
-            .lock()
-            .expect("decision state cache lock")
-            .get_or_build_mode(sigma, mode, || {
-                ObserverState::build_mode(run, sigma, index, mode)
-            })?,
-        None => Arc::new(ObserverState::build_mode(run, sigma, index, mode)?),
-    };
-    Ok(KnowledgeEngine::with_state(run, state))
+    let state = ObserverState::build_mode(run, sigma, index, probe.mode())?;
+    Ok(KnowledgeEngine::with_state(run, Arc::new(state)))
 }
 
 /// The Protocol 2 decision at `sigma` under the given probe semantics, on
-/// any run containing `sigma` — the batch form shared by the streaming
-/// driver and the service facade's `CoordDecision` query. Returns `false`
-/// (abstain) when the trigger is absent or the required evidence is not
-/// σ-recognized, exactly like the in-protocol strategy.
+/// any run containing `sigma` — the batch reference for the streaming
+/// driver's per-event verdicts. Returns `false` (abstain) when the
+/// trigger is absent or the required evidence is not σ-recognized,
+/// exactly like the in-protocol strategy.
 ///
 /// # Errors
 ///
@@ -111,59 +97,10 @@ pub fn decide_at(
     sigma: NodeId,
     probe: ProbeSemantics,
 ) -> Result<bool, CoordError> {
-    decide_at_indexed(
-        spec,
-        run,
-        sigma,
-        probe,
-        &zigzag_core::extended_graph::MessageIndex::of_run(run),
-    )
-}
-
-/// [`decide_at`] against a caller-supplied per-run [`MessageIndex`] —
-/// the index is decision-invariant, so batteries of decisions over one
-/// run (see [`first_knowledge`], or a facade session with a cached
-/// index) should resolve the message table once and share it.
-///
-/// [`MessageIndex`]: zigzag_core::extended_graph::MessageIndex
-///
-/// # Errors
-///
-/// Fails only on model-level inconsistencies (`sigma` not in `run`).
-pub fn decide_at_indexed(
-    spec: &TimedCoordination,
-    run: &Run,
-    sigma: NodeId,
-    probe: ProbeSemantics,
-    index: &zigzag_core::extended_graph::MessageIndex,
-) -> Result<bool, CoordError> {
-    decide_at_cached(spec, run, sigma, probe, index, None)
-}
-
-/// [`decide_at_indexed`] with an optional caller-held decision-state
-/// cache: `Some(cache)` serves (and retains) the per-node
-/// [`ObserverState`] — full or own-sends-excluded, keyed by mode — from
-/// the cache instead of rebuilding it, which is what a serving layer
-/// issuing `CoordDecision` at high rate wants. Retention is sound and
-/// byte-identical by observer stability (both modes — see
-/// `zigzag_core::incremental`); `None` builds fresh, the one-shot batch
-/// behavior.
-///
-/// # Errors
-///
-/// Fails only on model-level inconsistencies (`sigma` not in `run`).
-pub fn decide_at_cached(
-    spec: &TimedCoordination,
-    run: &Run,
-    sigma: NodeId,
-    probe: ProbeSemantics,
-    index: &MessageIndex,
-    cache: Option<&Mutex<ObserverCache>>,
-) -> Result<bool, CoordError> {
     let Some(sigma_c) = run.external_receipt_node(spec.c, &spec.go_name) else {
         return Ok(false);
     };
-    let engine = probe_engine(run, sigma, probe, index, cache)?;
+    let engine = probe_engine(run, sigma, probe, &MessageIndex::of_run(run))?;
     decide_with(spec, &engine, sigma_c, sigma)
 }
 
@@ -192,6 +129,8 @@ fn decide_with(
 /// [`StreamDriver`]'s `first_known` after replaying `run` with the same
 /// probe semantics — and under [`ProbeSemantics::ExcludeOwnSends`] it
 /// equals the in-simulation Protocol 2 action node on every topology.
+/// Every decision builds its state fresh (one message index is shared);
+/// [`StreamDriver::adopt`] is the warm form.
 ///
 /// # Errors
 ///
@@ -201,61 +140,25 @@ pub fn first_knowledge(
     run: &Run,
     probe: ProbeSemantics,
 ) -> Result<(Option<NodeId>, Option<NodeId>), CoordError> {
-    first_knowledge_indexed(
-        spec,
-        run,
-        probe,
-        &zigzag_core::extended_graph::MessageIndex::of_run(run),
-    )
-}
-
-/// [`first_knowledge`] against a caller-supplied per-run
-/// [`MessageIndex`] (resolved once, shared by every per-node decision).
-///
-/// [`MessageIndex`]: zigzag_core::extended_graph::MessageIndex
-///
-/// # Errors
-///
-/// Fails only on model-level inconsistencies in `run`.
-pub fn first_knowledge_indexed(
-    spec: &TimedCoordination,
-    run: &Run,
-    probe: ProbeSemantics,
-    index: &zigzag_core::extended_graph::MessageIndex,
-) -> Result<(Option<NodeId>, Option<NodeId>), CoordError> {
-    first_knowledge_cached(spec, run, probe, index, None)
-}
-
-/// [`first_knowledge_indexed`] with an optional caller-held
-/// decision-state cache (see [`decide_at_cached`]): each `B`-node's
-/// decision state is served warm instead of rebuilt, so a session
-/// answering repeated `CoordDecision` queries — or interleaving them with
-/// knowledge queries at the same observers — pays each state's
-/// construction once.
-///
-/// # Errors
-///
-/// Fails only on model-level inconsistencies in `run`.
-pub fn first_knowledge_cached(
-    spec: &TimedCoordination,
-    run: &Run,
-    probe: ProbeSemantics,
-    index: &MessageIndex,
-    cache: Option<&Mutex<ObserverCache>>,
-) -> Result<(Option<NodeId>, Option<NodeId>), CoordError> {
-    let sigma_c = run.external_receipt_node(spec.c, &spec.go_name);
-    if sigma_c.is_none() {
+    let Some(sigma_c) = run.external_receipt_node(spec.c, &spec.go_name) else {
         return Ok((None, None));
-    }
+    };
+    let index = MessageIndex::of_run(run);
     for rec in run.timeline(spec.b) {
-        if rec.id().is_initial() {
+        let sigma = rec.id();
+        if sigma.is_initial() {
             continue;
         }
-        if decide_at_cached(spec, run, rec.id(), probe, index, cache)? {
-            return Ok((Some(rec.id()), sigma_c));
+        if decide_with(
+            spec,
+            &probe_engine(run, sigma, probe, &index)?,
+            sigma_c,
+            sigma,
+        )? {
+            return Ok((Some(sigma), Some(sigma_c)));
         }
     }
-    Ok((None, sigma_c))
+    Ok((None, Some(sigma_c)))
 }
 
 /// What one appended event meant for the coordination problem.
@@ -302,8 +205,8 @@ impl StreamDriver {
     }
 
     /// Resumes a driver over an engine already holding a run prefix,
-    /// seeding the decision state a snapshot recorded: the trigger node
-    /// `σ_C` (if it streamed past before the snapshot) and the earliest
+    /// seeding the decision state a checkpoint recorded: the trigger node
+    /// `σ_C` (if it streamed past before the checkpoint) and the earliest
     /// `B`-node whose knowledge held. Both are pure functions of the
     /// prefix, so a resumed driver steps exactly like one that streamed
     /// the prefix itself.
@@ -321,6 +224,41 @@ impl StreamDriver {
             sigma_c,
             first_known,
         }
+    }
+
+    /// Wraps a driver around an engine already holding a run prefix,
+    /// computing the decision state from the prefix itself: `σ_C`, then
+    /// `B`'s timeline walked with the driver's own warm decisions up to
+    /// the first node that knows. By observer stability each decision
+    /// depends only on its node's past, so this equals the state a
+    /// [`StreamDriver::replay_with`] of the prefix ends in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `engine` is poisoned (a fresh
+    /// [`IncrementalEngine::from_prefix`] never is).
+    pub fn adopt(
+        spec: TimedCoordination,
+        engine: IncrementalEngine,
+        probe: ProbeSemantics,
+    ) -> Self {
+        let sigma_c = engine.run().external_receipt_node(spec.c, &spec.go_name);
+        let mut driver = Self::resume(spec, engine, probe, sigma_c, None);
+        // Every walked node is a node of the run, so the one error a
+        // decision can raise (`CoreError::NodeNotInRun`) cannot occur.
+        driver.first_known = driver
+            .engine
+            .run()
+            .timeline(driver.spec.b)
+            .iter()
+            .map(|rec| rec.id())
+            .filter(|sigma| !sigma.is_initial())
+            .find(|&sigma| {
+                driver
+                    .decide_at(sigma)
+                    .expect("decisions at run nodes never fail")
+            });
+        driver
     }
 
     /// Selects the probe semantics (builder style); see the
@@ -583,7 +521,8 @@ mod tests {
                     _ => {}
                 }
 
-                // The batch helper agrees with both replay modes.
+                // The batch helper and a driver adopting the whole run
+                // agree with both replay modes.
                 for (probe, driver) in [
                     (ProbeSemantics::ExcludeOwnSends, &ex),
                     (ProbeSemantics::IncludeOwnSends, &inc),
@@ -591,6 +530,10 @@ mod tests {
                     let (first, sigma_c) = first_knowledge(&spec, &run, probe).unwrap();
                     assert_eq!(first, driver.first_known(), "x={x} seed {seed} {probe:?}");
                     assert_eq!(sigma_c, driver.sigma_c());
+                    let engine = IncrementalEngine::from_prefix(run.clone());
+                    let adopted = StreamDriver::adopt(spec.clone(), engine, probe);
+                    assert_eq!(adopted.first_known(), first, "x={x} seed {seed} {probe:?}");
+                    assert_eq!(adopted.sigma_c(), sigma_c);
                 }
             }
         }

@@ -217,8 +217,7 @@ impl ObserverState {
 }
 
 /// A bounded, least-recently-used cache of [`ObserverState`]s — the
-/// serving-layer form of the per-observer caches in
-/// [`crate::analyzer::RunAnalyzer`] and
+/// serving-layer form of the per-observer cache in
 /// [`crate::incremental::IncrementalEngine`].
 ///
 /// Unbounded per-observer caching is right for analyses that revisit a
@@ -532,11 +531,13 @@ pub struct KnowledgeEngine<'r> {
 impl<'r> KnowledgeEngine<'r> {
     /// Creates the engine for the observer node `sigma`.
     ///
-    /// Building many engines over the same run? Derive them from a
-    /// [`crate::analyzer::RunAnalyzer`] instead, which shares the run-level
-    /// analysis across observers. Growing the run event-by-event? Use a
-    /// [`crate::incremental::IncrementalEngine`], which keeps observer
-    /// states warm across appends.
+    /// Building many engines over the same run, or growing the run
+    /// event-by-event? Use a [`crate::incremental::IncrementalEngine`]
+    /// (over a recorded run, [`IncrementalEngine::from_prefix`]), which
+    /// shares the run-level analysis across observers and keeps observer
+    /// states warm.
+    ///
+    /// [`IncrementalEngine::from_prefix`]: crate::incremental::IncrementalEngine::from_prefix
     ///
     /// # Errors
     ///
@@ -550,8 +551,7 @@ impl<'r> KnowledgeEngine<'r> {
         Ok(Self::with_graph(run, sigma, ExtendedGraph::new(run, sigma)))
     }
 
-    /// Assembles an engine around an already-built `GE(r, σ)` (the
-    /// [`crate::analyzer::RunAnalyzer`] shared-analysis path).
+    /// Assembles an engine around an already-built `GE(r, σ)`.
     pub(crate) fn with_graph(run: &'r Run, sigma: NodeId, ge: ExtendedGraph) -> Self {
         Self::with_state(run, Arc::new(ObserverState::new(sigma, ge)))
     }

@@ -5,13 +5,13 @@
 //! the workspace:
 //!
 //! * [`api`] — **the recommended entry point**: the unified service
-//!   facade. A `ZigzagService` owns typed sessions (batch runs and live
-//!   streams) and answers one serializable `Query` family — thresholds,
-//!   the knowledge predicate, witnesses, fast-run refutations, `GB(r)`
-//!   tight bounds, Protocol 2 coordination decisions — through one
-//!   `dispatch` code path, with explicit cache policies (LRU-bounded
-//!   observer states, mid-stream append-log compaction) and probe
-//!   semantics. `api::serve` fans wire-encoded frames across a sharded
+//!   facade. A `ZigzagService` owns sessions of one kind (live streams,
+//!   or sealed ones over complete recorded runs) and answers one
+//!   serializable `Query` family — thresholds, the knowledge predicate,
+//!   witnesses, fast-run refutations, `GB(r)` tight bounds, Protocol 2
+//!   coordination decisions — through one `dispatch` code path, with
+//!   explicit cache policies (LRU-bounded observer states, mid-stream
+//!   append-log compaction) and probe semantics. `api::serve` fans wire-encoded frames across a sharded
 //!   worker fleet, `api::net` puts that loop on a TCP or Unix socket
 //!   (length-delimited envelopes, backpressure, graceful drain), and a
 //!   `Stats` query reports latency histograms and cache counters from
@@ -23,9 +23,9 @@
 //! * [`core`] — zigzag causality: basic/general nodes, happens-before,
 //!   two-legged forks, zigzag patterns, timed precedence, bounds graphs
 //!   (`GB(r)`, `GB(r,σ)`, `GE(r,σ)`), timing functions, run
-//!   constructions, the knowledge engine of Theorem 4, and its
-//!   batch-shared (`RunAnalyzer`) and incremental (`IncrementalEngine`)
-//!   serving forms;
+//!   constructions, the knowledge engine of Theorem 4, and its serving
+//!   form `IncrementalEngine` (built in bulk over a recorded run or grown
+//!   event by event, sharing the run-level analysis across observers);
 //! * [`coord`] — the timed-coordination layer: the `Early⟨b →x a⟩` /
 //!   `Late⟨a →x b⟩` problems, the paper's optimal Protocol 2, baselines,
 //!   and the streaming coordination driver.

@@ -322,8 +322,8 @@ fn store_chaos_case(seed: u64, budget: u64) -> u64 {
     let mut id: SessionId = match opened {
         Ok(id) => id,
         Err(Error::Store { detail }) => {
-            // A failed header fsync: the header was written, so the log
-            // recovers as an empty session.
+            // A failed header or store-directory fsync: the header was
+            // written, so the log recovers as an empty session.
             assert!(detail.contains("injected"), "real store failure: {detail}");
             lives += 1;
             drop(sup);

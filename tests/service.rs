@@ -11,8 +11,8 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use zigzag::api::{
-    serve, wire, CachePolicy, CoordKind, Error, Query, Response, SessionConfig, TimedCoordination,
-    ZigzagService,
+    serve, wire, CachePolicy, CoordKind, Error, ProbeSemantics, Query, Response, SessionConfig,
+    TimedCoordination, ZigzagService,
 };
 use zigzag::bcm::protocols::Ffip;
 use zigzag::bcm::scheduler::RandomScheduler;
@@ -152,8 +152,8 @@ fn compaction_policy_reclaims_log_and_preserves_answers() {
     }
 }
 
-/// The facade's error surface: unknown sessions, batch appends, missing
-/// specs.
+/// The facade's error surface: unknown sessions, operations a batch
+/// session refuses, missing specs.
 #[test]
 fn session_lifecycle_and_error_surface() {
     let run = tri_run(2, 30);
@@ -161,12 +161,46 @@ fn session_lifecycle_and_error_surface() {
     let id = service.open_batch(run.clone(), SessionConfig::new());
     assert_eq!(service.session_count(), 1);
 
-    // Appending to a batch session is refused.
+    // A batch session refuses every operation that needs a live stream,
+    // called directly or dispatched, with the same typed error and text.
     let ev = RunCursor::new(&run).next_event().unwrap();
-    assert!(matches!(
-        service.append(id, &ev),
-        Err(Error::NotStreaming { .. })
-    ));
+    let refusals = [
+        ("append", service.append(id, &ev).map(drop)),
+        ("event_count", service.event_count(id).map(drop)),
+        ("export", service.export(id).map(drop)),
+        (
+            "Query::Append",
+            service
+                .dispatch(id, &Query::Append(Box::new(ev.clone())))
+                .map(drop),
+        ),
+        (
+            "Query::EventCount",
+            service.dispatch(id, &Query::EventCount).map(drop),
+        ),
+        (
+            "Query::Export",
+            service.dispatch(id, &Query::Export).map(drop),
+        ),
+    ];
+    for (what, got) in refusals {
+        let err = got.expect_err(what);
+        assert!(matches!(err, Error::NotStreaming { .. }), "{what}: {err:?}");
+        assert_eq!(
+            err.to_string(),
+            format!("session {id} is a batch session; cannot append events"),
+            "{what}"
+        );
+    }
+    // The refusals leave the session serving.
+    let sigma = run
+        .nodes()
+        .map(|r| r.id())
+        .find(|n| !n.is_initial())
+        .unwrap();
+    service
+        .dispatch(id, &Query::MaxXMatrix { sigma })
+        .expect("a refused session still answers");
     // Coordination queries need a spec.
     assert!(matches!(
         service.dispatch(id, &Query::CoordDecision),
@@ -199,42 +233,75 @@ fn session_lifecycle_and_error_surface() {
     assert!(std::error::Error::source(&err).is_some());
 }
 
-/// Streaming coordination through the facade agrees with the batch
-/// session's `CoordDecision` on the same run (replayed Figure 1).
+/// Coordination verdicts agree across session shapes: a batch session
+/// (Protocol 2 progress computed once at open), a replayed stream
+/// session and the batch `first_knowledge` helper — under both probe
+/// semantics, on Figure 1 and on a feedback topology where `B` has
+/// outgoing channels, over several seeds.
 #[test]
 fn coordination_decisions_agree_across_session_shapes() {
+    // Figure 1: C → A [2,5], C → B [9,12]; B has no outgoing channels.
     let mut nb = zigzag::bcm::Network::builder();
     let c = nb.add_process("C");
     let a = nb.add_process("A");
     let b = nb.add_process("B");
     nb.add_channel(c, a, 2, 5).unwrap();
     nb.add_channel(c, b, 9, 12).unwrap();
-    let ctx = nb.build().unwrap();
+    let fig1 = nb.build().unwrap();
+    // The same plus D, with a B ⇄ D cycle: B has outgoing channels, so
+    // the two probe semantics can diverge.
+    let mut nb = zigzag::bcm::Network::builder();
+    let c = nb.add_process("C");
+    let a = nb.add_process("A");
+    let b = nb.add_process("B");
+    let d = nb.add_process("D");
+    nb.add_channel(c, a, 2, 5).unwrap();
+    nb.add_channel(c, b, 9, 12).unwrap();
+    nb.add_channel(c, d, 1, 2).unwrap();
+    nb.add_channel(b, d, 1, 1).unwrap();
+    nb.add_channel(d, b, 1, 3).unwrap();
+    let feedback = nb.build().unwrap();
+
     let spec = TimedCoordination::new(CoordKind::Late { x: 4 }, a, b, c);
-    for seed in 0..4 {
-        let sc =
-            zigzag::coord::Scenario::new(spec.clone(), ctx.clone(), Time::new(3), Time::new(80))
-                .unwrap();
-        let (run, verdict) = sc
-            .run_verified(
-                &mut zigzag::coord::OptimalStrategy,
-                &mut RandomScheduler::seeded(seed),
-            )
+    for (name, ctx, horizon) in [("fig1", fig1, 80), ("feedback", feedback, 60)] {
+        let processes = ctx.network().len();
+        let sc = zigzag::coord::Scenario::new(spec.clone(), ctx, Time::new(3), Time::new(horizon))
             .unwrap();
-        let service = ZigzagService::new();
-        let config = SessionConfig::new().spec(spec.clone());
-        let (stream, reports) = service.open_replay(&run, config.clone()).unwrap();
-        let batch = service.open_batch(run.clone(), config);
-        let on = service.dispatch(stream, &Query::CoordDecision).unwrap();
-        let off = service.dispatch(batch, &Query::CoordDecision).unwrap();
-        assert_eq!(on, off, "seed {seed}: session shapes diverged");
-        let Response::CoordDecision(report) = on else {
-            unreachable!()
-        };
-        // Figure 1: B has no outgoing channels, so both probe semantics
-        // coincide with the in-simulation protocol.
-        assert_eq!(report.first_known, verdict.b_node, "seed {seed}");
-        assert_eq!(reports.len(), run.node_count() - 3);
+        let mut acted = 0;
+        for seed in 0..6 {
+            let (run, verdict) = sc
+                .run_verified(
+                    &mut zigzag::coord::OptimalStrategy,
+                    &mut RandomScheduler::seeded(seed),
+                )
+                .unwrap();
+            for probe in [
+                ProbeSemantics::IncludeOwnSends,
+                ProbeSemantics::ExcludeOwnSends,
+            ] {
+                let at = format!("{name} seed {seed} {probe:?}");
+                let service = ZigzagService::new();
+                let config = SessionConfig::new().spec(spec.clone()).probe(probe);
+                let (stream, reports) = service.open_replay(&run, config.clone()).unwrap();
+                let batch = service.open_batch(run.clone(), config);
+                let on = service.dispatch(stream, &Query::CoordDecision).unwrap();
+                let off = service.dispatch(batch, &Query::CoordDecision).unwrap();
+                assert_eq!(on, off, "{at}: session shapes diverged");
+                let Response::CoordDecision(report) = on else {
+                    unreachable!()
+                };
+                let helper = zigzag::coord::first_knowledge(&spec, &run, probe).unwrap();
+                assert_eq!((report.first_known, report.sigma_c), helper, "{at}");
+                // Exclude-mode verdicts are the in-simulation protocol's on
+                // every topology (and on Figure 1 both modes are).
+                if probe == ProbeSemantics::ExcludeOwnSends || name == "fig1" {
+                    assert_eq!(report.first_known, verdict.b_node, "{at}");
+                }
+                assert_eq!(reports.len(), run.node_count() - processes, "{at}");
+                acted += usize::from(report.first_known.is_some());
+            }
+        }
+        assert!(acted > 0, "{name}: B never acted, so nothing was compared");
     }
 }
 
