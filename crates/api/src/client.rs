@@ -6,8 +6,9 @@
 //! [`crate::net::read_envelope`] pair, and adds the failure handling a
 //! caller facing a faulty network otherwise reimplements badly:
 //!
-//! * **Typed errors** — every server `zigzag-error v1` document is parsed
-//!   back into the [`Error`] it encodes, and every connection-level
+//! * **Typed errors** — every server `zigzag-error v1` document is decoded
+//!   back into the [`Error`] its code line carries
+//!   ([`crate::serve::decode_error`]), and every connection-level
 //!   failure (EOF, reset, timeout) becomes [`Error::Transport`], so the
 //!   caller matches one enum instead of string-scraping.
 //! * **Retry, gated on [`Error::is_retryable`]** — idempotent queries are
@@ -38,7 +39,7 @@
 //! at most once per call; everything non-retryable
 //! ([`Error::is_retryable`] is `false`) surfaces immediately.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -50,7 +51,7 @@ use rand::{Rng, SeedableRng, StdRng};
 use zigzag_bcm::stream::RunEvent;
 
 use crate::error::Error;
-use crate::net::{read_envelope, write_envelope};
+use crate::net::{read_envelope, write_envelope, Conn};
 use crate::query::{Query, Response};
 use crate::serve;
 use crate::service::SessionId;
@@ -139,59 +140,13 @@ enum Target {
     Unix(PathBuf),
 }
 
-/// Either client-side stream transport.
-#[derive(Debug)]
-enum ClientStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl ClientStream {
-    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.set_read_timeout(d),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.set_read_timeout(d),
-        }
-    }
-}
-
-impl Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// A reconnecting, retrying client for a [`crate::net::NetServer`]; see
 /// the [module docs](self) for the retry and exactly-once semantics.
 #[derive(Debug)]
 pub struct ResilientClient {
     target: Target,
     config: ClientConfig,
-    conn: Option<ClientStream>,
+    conn: Option<Conn>,
     rng: StdRng,
 }
 
@@ -380,7 +335,7 @@ impl ResilientClient {
         }
     }
 
-    fn ensure_conn(&mut self) -> Result<&mut ClientStream, Error> {
+    fn ensure_conn(&mut self) -> Result<&mut Conn, Error> {
         if self.conn.is_none() {
             let connect_err = |e: io::Error| Error::Transport {
                 detail: format!("connecting: {e}"),
@@ -391,12 +346,10 @@ impl ResilientClient {
                         .map_err(connect_err)?;
                     // Mirror the server: no Nagle stall on small frames.
                     s.set_nodelay(true).map_err(connect_err)?;
-                    ClientStream::Tcp(s)
+                    Conn::Tcp(s)
                 }
                 #[cfg(unix)]
-                Target::Unix(path) => {
-                    ClientStream::Unix(UnixStream::connect(path).map_err(connect_err)?)
-                }
+                Target::Unix(path) => Conn::Unix(UnixStream::connect(path).map_err(connect_err)?),
             };
             stream
                 .set_read_timeout(Some(self.config.request_deadline))
@@ -426,82 +379,13 @@ impl ResilientClient {
 }
 
 /// Decodes one reply document: a `zigzag-error v1` document becomes the
-/// typed [`Error`] it encodes, anything else parses as a response.
+/// typed [`Error`] its code line carries (or [`Error::Wire`] if it is
+/// malformed), anything else parses as a response.
 fn decode_reply(doc: &str) -> Result<Response, Error> {
     if serve::is_error_document(doc) {
-        Err(classify_error_doc(doc))
+        Err(serve::decode_error(doc).unwrap_or_else(|malformed| malformed))
     } else {
         wire::decode_response(doc)
-    }
-}
-
-/// Parses a server `zigzag-error v1` document back into the [`Error`] it
-/// encodes, by its stable display line. Layer errors (model, causality,
-/// coordination) cannot be reconstructed losslessly client-side and
-/// arrive as [`Error::Internal`] carrying the server's text verbatim;
-/// they are non-retryable either way, which is the property the retry
-/// loop needs.
-fn classify_error_doc(doc: &str) -> Error {
-    let line = doc.lines().nth(1).unwrap_or("").trim();
-    if let Some(rest) = line.strip_prefix("server overloaded: worker ") {
-        let worker = rest
-            .split_whitespace()
-            .next()
-            .and_then(|w| w.parse().ok())
-            .unwrap_or(0);
-        return Error::Overloaded { worker };
-    }
-    if let Some(detail) = line.strip_prefix("internal server error: ") {
-        return Error::Internal {
-            detail: detail.into(),
-        };
-    }
-    if let Some(detail) = line.strip_prefix("session store: ") {
-        return Error::Store {
-            detail: detail.into(),
-        };
-    }
-    if let Some(detail) = line.strip_prefix("transport: ") {
-        return Error::Transport {
-            detail: detail.into(),
-        };
-    }
-    if let Some(rest) = line.strip_prefix("unknown session s") {
-        if let Ok(raw) = rest.parse::<u64>() {
-            return Error::UnknownSession {
-                id: SessionId::from_raw(raw),
-            };
-        }
-    }
-    if let Some(rest) = line.strip_prefix("session s") {
-        if let Some((raw, tail)) = rest.split_once(' ') {
-            if tail == "is a batch session; cannot append events" {
-                if let Ok(raw) = raw.parse::<u64>() {
-                    return Error::NotStreaming {
-                        id: SessionId::from_raw(raw),
-                    };
-                }
-            }
-        }
-    }
-    if let Some(rest) = line.strip_prefix("wire: line ") {
-        if let Some((n, detail)) = rest.split_once(": ") {
-            if let Ok(ln) = n.parse() {
-                return Error::Wire {
-                    line: ln,
-                    detail: detail.into(),
-                };
-            }
-        }
-    }
-    if line == "coordination decision requested on a session configured without a spec" {
-        return Error::NoSpec;
-    }
-    if line.starts_with("stats is a service-level query") {
-        return Error::ServiceLevelQuery;
-    }
-    Error::Internal {
-        detail: format!("server reported: {line}"),
     }
 }
 
@@ -540,41 +424,51 @@ mod tests {
             .request_deadline(Duration::from_millis(500))
     }
 
+    /// A one-connection stand-in server answering every frame with
+    /// `reply`; joining it yields how many frames it was sent.
+    fn canned_server(reply: &'static str) -> (SocketAddr, std::thread::JoinHandle<usize>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut frames = 0;
+            while let Ok(Some(_)) = read_envelope(&mut conn, 1 << 20) {
+                frames += 1;
+                if write_envelope(&mut conn, reply).is_err() {
+                    break;
+                }
+            }
+            frames
+        });
+        (addr, handle)
+    }
+
     #[test]
-    fn error_documents_classify_back_to_their_typed_errors() {
-        for e in [
-            Error::Overloaded { worker: 3 },
-            Error::Internal {
-                detail: "caught panic in dispatch".into(),
-            },
-            Error::Store {
-                detail: "log unreadable".into(),
-            },
-            Error::Transport {
-                detail: "connection reset".into(),
-            },
-            Error::UnknownSession {
-                id: SessionId::from_raw(42),
-            },
-            Error::NotStreaming {
-                id: SessionId::from_raw(7),
-            },
-            Error::Wire {
-                line: 3,
-                detail: "unexpected token".into(),
-            },
-            Error::NoSpec,
-            Error::ServiceLevelQuery,
+    fn retries_follow_the_error_code_not_its_wording() {
+        // A reworded Overloaded is still retried: 1 + max_retries sends.
+        let (addr, server) =
+            canned_server("zigzag-error v1\nbusy, come back later\ncode overloaded 1\n");
+        let mut client = ResilientClient::connect_tcp(addr, fast_config()).unwrap();
+        let err = client.query(SessionId::from_raw(0), &Query::EventCount);
+        assert_eq!(err, Err(Error::Overloaded { worker: 1 }));
+        drop(client);
+        assert_eq!(server.join().unwrap(), 3);
+
+        // A malformed error document surfaces as a wire error, sent once.
+        for hostile in [
+            "zigzag-error v1\nserver overloaded: worker 1 queue is full\n",
+            "zigzag-error v1\nserver overloaded: worker 1 queue is full\ncode overloaded\n",
+            "zigzag-error v1\nx\ncode retry-me-please 1\n",
         ] {
-            let doc = serve::encode_error(&e);
-            assert_eq!(classify_error_doc(&doc), e, "round-trip failed for {e}");
+            let (addr, server) = canned_server(hostile);
+            let mut client = ResilientClient::connect_tcp(addr, fast_config()).unwrap();
+            let err = client
+                .query(SessionId::from_raw(0), &Query::EventCount)
+                .unwrap_err();
+            assert!(matches!(err, Error::Wire { .. }), "{hostile:?}: {err}");
+            drop(client);
+            assert_eq!(server.join().unwrap(), 1, "{hostile:?} was retried");
         }
-        // Layer errors fall back to Internal carrying the text verbatim —
-        // and stay non-retryable, which is all the retry loop relies on.
-        let layer = Error::Bcm(zigzag_bcm::BcmError::EmptyNetwork);
-        let fallback = classify_error_doc(&serve::encode_error(&layer));
-        assert!(matches!(&fallback, Error::Internal { detail } if detail.contains("model layer")));
-        assert!(!fallback.is_retryable());
     }
 
     #[test]

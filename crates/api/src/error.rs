@@ -34,8 +34,7 @@ pub enum Error {
     },
     /// The operation (append, event count, export) needs a live stream,
     /// but the session is sealed: it was opened over a complete recorded
-    /// run with [`crate::ZigzagService::open_batch`]. The display text
-    /// still says "batch session"; clients match it verbatim.
+    /// run with [`crate::ZigzagService::open_batch`].
     NotStreaming {
         /// The offending id.
         id: SessionId,
@@ -50,10 +49,11 @@ pub enum Error {
         /// Explanation of the malformation.
         detail: String,
     },
-    /// A [`crate::Query::Stats`] query reached a bare session — inside a
-    /// [`crate::Query::QueryBatch`], or through a direct
-    /// [`crate::StreamSession::dispatch`] — where no service-wide state exists
-    /// to answer it.
+    /// A service-level query — [`crate::Query::Stats`], `Export`,
+    /// `Import`, `Append`, `EventCount` or `Recover` — reached a bare
+    /// session (inside a [`crate::Query::QueryBatch`], or through a direct
+    /// [`crate::StreamSession::dispatch`]), where only the service can
+    /// answer it.
     ServiceLevelQuery,
     /// A [`crate::net`] worker's bounded queue was full when the frame
     /// arrived: the deterministic backpressure verdict (reject now,
@@ -120,9 +120,11 @@ impl fmt::Display for Error {
             Error::Core(e) => write!(f, "causality layer: {e}"),
             Error::Coord(e) => write!(f, "coordination layer: {e}"),
             Error::UnknownSession { id } => write!(f, "unknown session {id}"),
-            Error::NotStreaming { id } => {
-                write!(f, "session {id} is a batch session; cannot append events")
-            }
+            Error::NotStreaming { id } => write!(
+                f,
+                "session {id} is sealed over a recorded run; it has no event \
+                 count and accepts no appends or exports"
+            ),
             Error::NoSpec => write!(
                 f,
                 "coordination decision requested on a session configured without a spec"
@@ -130,8 +132,8 @@ impl fmt::Display for Error {
             Error::Wire { line, detail } => write!(f, "wire: line {line}: {detail}"),
             Error::ServiceLevelQuery => write!(
                 f,
-                "stats is a service-level query; it cannot be nested in a batch \
-                 or dispatched on a bare session"
+                "service-level query (stats, export, import, append, event count, \
+                 recover) cannot be nested in a batch or dispatched on a bare session"
             ),
             Error::Overloaded { worker } => {
                 write!(f, "server overloaded: worker {worker} queue is full")

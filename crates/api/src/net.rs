@@ -35,17 +35,16 @@
 //! ```
 //!
 //! * **Syscall-lean reads** — each reader owns a reusable
-//!   [`EnvelopeScanner`]: one `read` slurps up to
-//!   [`NetConfig::read_chunk_bytes`] and *every* complete envelope in
-//!   the buffer is scanned out and routed before the next syscall, with
-//!   frames split across arbitrary read boundaries reassembled in
-//!   place. A pipelining client's N frames cost a handful of reads, not
-//!   2·N.
+//!   [`EnvelopeScanner`]: one `read` slurps up to 64 KiB and *every*
+//!   complete envelope in the buffer is scanned out and routed before
+//!   the next syscall, with frames split across arbitrary read
+//!   boundaries reassembled in place. A pipelining client's N frames
+//!   cost a handful of reads, not 2·N.
 //! * **Coalesced writes** — worker answers land on a per-connection
 //!   reply rail that reorders them by arrival sequence; each writer
 //!   wakeup drains *all* answers that are ready in arrival order and
 //!   writes them as one batched envelope run with a single flush
-//!   (bounded by [`NetConfig::write_coalesce_bytes`] per `write`).
+//!   (one `write` per 256 KiB accumulated).
 //!   `TCP_NODELAY` is set on accepted TCP sockets so batching never
 //!   trades throughput for Nagle latency.
 //! * **Allocation-free steady state** — frame and response documents
@@ -86,10 +85,11 @@
 //! * **Observability** — per-worker queue depths are kept as atomic
 //!   gauges and every reader/writer bumps the server's
 //!   [`TransportStats`] (bytes and syscalls each way, frames per read,
-//!   frames per writer flush); a [`crate::Query::Stats`] frame is
-//!   answered with [`crate::ZigzagService::stats_with_net`], so the
-//!   histogram, cache counters, queue depths and transport amortization
-//!   are all readable *from the wire*.
+//!   frames per writer flush). A worker hands both to the service's one
+//!   routing point with each frame, so a [`crate::Query::Stats`] frame
+//!   answered on the socket carries them next to the service's
+//!   histogram and cache counters: queue depths and transport
+//!   amortization are readable *from the wire*.
 //!
 //! # Example
 //!
@@ -117,7 +117,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
@@ -136,6 +136,26 @@ use crate::fault::{FaultPlan, NetFault};
 use crate::serve;
 use crate::service::ZigzagService;
 use crate::stats::{TransportCounters, TransportStats};
+
+/// Spare room each reader keeps in its scan buffer: the most one `read`
+/// syscall slurps. Larger chunks amortize more pipelined frames per
+/// syscall at the cost of per-connection memory.
+const READ_CHUNK_BYTES: usize = 64 << 10;
+
+/// Soft bound on one coalesced write: a writer flushing a batch of
+/// replies issues a `write` whenever this many bytes have accumulated,
+/// then keeps batching.
+const WRITE_COALESCE_BYTES: usize = 256 << 10;
+
+/// The live gauges a [`NetServer`] hands its workers, so a
+/// [`crate::Query::Stats`] frame answered on the socket reports them
+/// (see [`crate::ZigzagService::dispatch_with`]).
+pub(crate) struct NetView<'a> {
+    /// Per-worker queue-depth gauges.
+    pub queues: &'a [AtomicUsize],
+    /// The server's transport counters.
+    pub transport: &'a TransportStats,
+}
 
 /// Writes one length-delimited envelope: 4-byte big-endian length, then
 /// the document bytes — the one-at-a-time client-side sending half of
@@ -289,7 +309,7 @@ impl EnvelopeScanner {
     /// A scanner accepting payloads up to `max_frame_bytes`, slurping
     /// up to 64 KiB per fill.
     pub fn new(max_frame_bytes: usize) -> Self {
-        EnvelopeScanner::with_chunk(max_frame_bytes, 64 << 10)
+        EnvelopeScanner::with_chunk(max_frame_bytes, READ_CHUNK_BYTES)
     }
 
     /// A scanner with an explicit per-fill slurp size (clamped to at
@@ -650,8 +670,11 @@ impl ReplyRail {
     }
 }
 
-/// Either stream transport, behind one read/write surface.
-enum Conn {
+/// Either stream transport, behind one read/write surface — the
+/// server's accepted sockets and the [`crate::ResilientClient`]'s
+/// connection alike.
+#[derive(Debug)]
+pub(crate) enum Conn {
     Tcp(TcpStream),
     #[cfg(unix)]
     Unix(UnixStream),
@@ -666,7 +689,7 @@ impl Conn {
         })
     }
 
-    fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_read_timeout(&self, d: Option<Duration>) -> io::Result<()> {
         match self {
             Conn::Tcp(s) => s.set_read_timeout(d),
             #[cfg(unix)]
@@ -903,7 +926,7 @@ fn reader_loop(
     pool: Arc<BufPool>,
 ) {
     let stats = Arc::clone(&conn.stats);
-    let mut scanner = EnvelopeScanner::with_chunk(config.max_frame_bytes, config.read_chunk_bytes);
+    let mut scanner = EnvelopeScanner::new(config.max_frame_bytes);
     let window = config.max_inflight_frames.max(1) as u64;
     let mut seq = 0u64;
     'serve: loop {
@@ -987,7 +1010,7 @@ fn reader_loop(
 
 /// The per-connection writer: per rail wakeup, takes **every** answer
 /// that is ready in arrival order and writes the whole run as batched
-/// envelopes — one coalesced `write` per [`NetConfig::write_coalesce_bytes`]
+/// envelopes — one coalesced `write` per [`WRITE_COALESCE_BYTES`]
 /// accumulated, one flush per wakeup. Each document buffer is recycled
 /// the moment its bytes are copied into the batch, *before* they reach
 /// the socket, so a client reacting instantly to an answer finds warm
@@ -1011,12 +1034,10 @@ fn writer_loop(
     mut conn: CountedConn,
     rail: Arc<ReplyRail>,
     pool: Arc<BufPool>,
-    coalesce_bytes: usize,
     shutdown: Arc<AtomicBool>,
     drain_timeout: Option<Duration>,
 ) {
     let stats = Arc::clone(&conn.stats);
-    let coalesce = coalesce_bytes.max(16);
     let mut batch: Vec<String> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
     let mut broken = false;
@@ -1046,7 +1067,7 @@ fn writer_loop(
             // the reader and worker must find warm buffers in the pool
             // rather than racing this thread for the return.
             pool.put(doc);
-            if !broken && out.len() >= coalesce {
+            if !broken && out.len() >= WRITE_COALESCE_BYTES {
                 if write_all_bounded(&mut conn, &out, &shutdown, drain_timeout).is_err() {
                     broken = true;
                 }
@@ -1186,12 +1207,9 @@ fn accept_loop(
                     };
                     let rail = Arc::clone(&rail);
                     let pool = Arc::clone(&pool);
-                    let coalesce = config.write_coalesce_bytes;
                     let shutdown = Arc::clone(&shutdown);
                     let drain = config.drain_timeout;
-                    std::thread::spawn(move || {
-                        writer_loop(conn, rail, pool, coalesce, shutdown, drain)
-                    })
+                    std::thread::spawn(move || writer_loop(conn, rail, pool, shutdown, drain))
                 };
                 let reader = {
                     let conn = CountedConn {
@@ -1311,20 +1329,13 @@ impl NetServer {
                 std::thread::Builder::new()
                     .name(format!("zigzag-net-worker-{w}"))
                     .spawn(move || {
-                        // The memo map is recycled across jobs but
-                        // cleared per job: a session closed between two
-                        // frames must answer the second with
-                        // UnknownSession, not be served stale.
-                        let mut memo = HashMap::new();
                         while let Ok(job) = rx.recv() {
                             depths[w].fetch_sub(1, Ordering::Relaxed);
-                            memo.clear();
                             let mut out = pool.get();
                             serve::respond_into(
                                 &service,
                                 &job.frame,
-                                &mut memo,
-                                Some(&serve::NetView {
+                                Some(&NetView {
                                     queues: &depths,
                                     transport: &transport,
                                 }),

@@ -12,16 +12,17 @@
 //! * **no cross-worker locking on the steady path** — a shard's handle
 //!   map is only ever touched by its owning worker during the loop, so
 //!   its mutex never contends, and dispatch itself runs on the resolved
-//!   [`StreamSession`] outside any table lock;
+//!   [`crate::StreamSession`] outside any table lock;
 //! * **per-session arrival order** — all frames of one session land on
 //!   one worker, which processes its frames in arrival order; responses
 //!   are written back into the arrival-order slot of the output, so each
 //!   session sees its answers in exactly the order it asked;
-//! * **pipelining** — a worker resolves each session through its shard's
-//!   lock **once** per loop (memoized thereafter), so a stream of frames
-//!   — and every query inside a [`crate::Query::QueryBatch`] frame — on
-//!   the same session pays one shard-local lock acquisition, not one per
-//!   query.
+//! * **one routing point** — every frame is decoded with [`decode_frame`]
+//!   and answered by `ZigzagService::dispatch_with`, the same call an
+//!   in-process [`ZigzagService::dispatch`] makes, so a frame always sees
+//!   the live session table (a session closed between two frames answers
+//!   the second with [`Error::UnknownSession`]), and every query inside a
+//!   [`crate::Query::QueryBatch`] frame shares its frame's one lookup.
 //!
 //! Byte-identity is the contract: for a fixed frame batch against a fixed
 //! session table, [`serve`] returns the same `Vec<String>` at **every**
@@ -45,19 +46,48 @@
 //! [`wire::encode_response`] documents; failures are
 //! [`encode_error`] documents. Round-tripping is lossless
 //! ([`decode_frame`]).
+//!
+//! # Error documents
+//!
+//! ```text
+//! zigzag-error v1
+//! server overloaded: worker 3 queue is full
+//! code overloaded 3
+//! ```
+//!
+//! — the header, the error's display text (for people and logs; line
+//! breaks in it are flattened to spaces), then the code line
+//! `code <name> [<numeric fields>] [<detail>]`, which is what
+//! [`decode_error`] reads. The numeric fields are the variant's session
+//! handle, worker or line number; the detail is one
+//! [`codec::escape_token`]-escaped token.
+//!
+//! | [`Error`] variant | code line |
+//! |---|---|
+//! | `UnknownSession { id }` | `code unknown-session <id>` |
+//! | `NotStreaming { id }` | `code not-streaming <id>` |
+//! | `NoSpec` | `code no-spec` |
+//! | `Wire { line, detail }` | `code wire <line> <detail>` |
+//! | `ServiceLevelQuery` | `code service-level-query` |
+//! | `Overloaded { worker }` | `code overloaded <worker>` |
+//! | `Internal { detail }` | `code internal <detail>` |
+//! | `Store { detail }` | `code store <detail>` |
+//! | `Transport { detail }` | `code transport <detail>` |
+//! | `Bcm(_)`, `Core(_)`, `Coord(_)` | `code bcm <display text>` (`core`, `coord` likewise) |
+//!
+//! A layer error cannot be rebuilt on the far side; it decodes to a
+//! non-retryable [`Error::Internal`] carrying its display text. Every
+//! other variant decodes to exactly the error that was encoded.
 
-use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+
+use zigzag_bcm::codec;
 
 use crate::error::Error;
-use crate::query::{Query, Response};
+use crate::net::NetView;
+use crate::query::Query;
 use crate::service::{SessionId, ZigzagService};
-use crate::session::StreamSession;
-use crate::stats::TransportStats;
 use crate::wire;
 
 /// Header line of a request frame.
@@ -122,17 +152,114 @@ pub fn decode_frame(text: &str) -> Result<(SessionId, Query), Error> {
 /// Propagates `out`'s write error (encoding itself cannot fail).
 pub fn encode_error_to<W: fmt::Write>(out: &mut W, e: &Error) -> fmt::Result {
     writeln!(out, "{ERROR_HEADER}")?;
-    writeln!(out, "{e}")
+    write!(OneLine(&mut *out), "{e}")?;
+    out.write_str("\ncode ")?;
+    let esc = codec::escape_token;
+    match e {
+        Error::Bcm(_) => write!(out, "bcm {}", esc(&e.to_string())),
+        Error::Core(_) => write!(out, "core {}", esc(&e.to_string())),
+        Error::Coord(_) => write!(out, "coord {}", esc(&e.to_string())),
+        Error::UnknownSession { id } => write!(out, "unknown-session {}", id.raw()),
+        Error::NotStreaming { id } => write!(out, "not-streaming {}", id.raw()),
+        Error::NoSpec => out.write_str("no-spec"),
+        Error::Wire { line, detail } => write!(out, "wire {line} {}", esc(detail)),
+        Error::ServiceLevelQuery => out.write_str("service-level-query"),
+        Error::Overloaded { worker } => write!(out, "overloaded {worker}"),
+        Error::Internal { detail } => write!(out, "internal {}", esc(detail)),
+        Error::Store { detail } => write!(out, "store {}", esc(detail)),
+        Error::Transport { detail } => write!(out, "transport {}", esc(detail)),
+    }?;
+    out.write_str("\n")
 }
 
-/// Encodes a failed frame's answer: the `zigzag-error v1` document
-/// carrying the error's display text. Deterministic for a given error,
-/// so error slots participate in the serving loop's byte-identity
-/// contract like any response.
+/// Writes through to `W` with line breaks flattened to spaces, so an
+/// error's display text always stays on line 2 of its document.
+struct OneLine<'a, W>(&'a mut W);
+
+impl<W: fmt::Write> fmt::Write for OneLine<'_, W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for (k, part) in s.split(['\n', '\r']).enumerate() {
+            if k > 0 {
+                self.0.write_str(" ")?;
+            }
+            self.0.write_str(part)?;
+        }
+        Ok(())
+    }
+}
+
+/// Encodes a failed frame's answer: the `zigzag-error v1` document of
+/// `e` (see the [module docs](self#error-documents)). Deterministic for
+/// a given error, so error slots participate in the serving loop's
+/// byte-identity contract like any response.
 pub fn encode_error(e: &Error) -> String {
     let mut out = String::new();
     encode_error_to(&mut out, e).expect("writing to a String is infallible");
     out
+}
+
+/// Decodes a `zigzag-error v1` document back into the [`Error`] it
+/// carries — the inverse of [`encode_error`], read from the code line
+/// alone, so rewording a display text never changes what a client sees
+/// (or whether it retries). Layer errors decode to [`Error::Internal`]
+/// carrying their display text.
+///
+/// # Errors
+///
+/// Returns [`Error::Wire`] on a malformed document: a bad header, a
+/// missing code line, an unknown code, a missing, extra or non-numeric
+/// field, a bad escape, or a line after the code line.
+pub fn decode_error(text: &str) -> Result<Error, Error> {
+    let bad = |line: usize, detail: String| Error::Wire { line, detail };
+    let mut lines = text.lines();
+    let header = lines.next().unwrap_or("");
+    if header.trim() != ERROR_HEADER {
+        return Err(bad(1, format!("bad error header {header:?}")));
+    }
+    lines
+        .next()
+        .ok_or_else(|| bad(2, "missing display line".into()))?;
+    let code = lines
+        .next()
+        .ok_or_else(|| bad(3, "missing code line".into()))?;
+    if let Some(extra) = lines.next() {
+        return Err(bad(4, format!("trailing line {extra:?}")));
+    }
+    let mut t = wire::Tokens::new(code, 3);
+    if t.next()? != "code" {
+        return Err(bad(3, format!("expected code line, got {code:?}")));
+    }
+    let name = t.next()?;
+    let detail = |t: &mut wire::Tokens<'_>| -> Result<String, Error> {
+        codec::unescape_token(t.next()?).map_err(|e| bad(3, format!("bad detail: {e}")))
+    };
+    let e = match name {
+        "bcm" | "core" | "coord" | "internal" => Error::Internal {
+            detail: detail(&mut t)?,
+        },
+        "unknown-session" => Error::UnknownSession {
+            id: SessionId::from_raw(t.num()?),
+        },
+        "not-streaming" => Error::NotStreaming {
+            id: SessionId::from_raw(t.num()?),
+        },
+        "no-spec" => Error::NoSpec,
+        "wire" => Error::Wire {
+            line: t.num()?,
+            detail: detail(&mut t)?,
+        },
+        "service-level-query" => Error::ServiceLevelQuery,
+        "overloaded" => Error::Overloaded { worker: t.num()? },
+        "store" => Error::Store {
+            detail: detail(&mut t)?,
+        },
+        "transport" => Error::Transport {
+            detail: detail(&mut t)?,
+        },
+        other => return Err(bad(3, format!("unknown error code {other:?}"))),
+    };
+    t.done()?;
+    Ok(e)
 }
 
 /// Whether a serving-loop output slot holds an `zigzag-error v1`
@@ -181,105 +308,27 @@ pub(crate) fn split_frame(text: &str) -> Result<(SessionId, &str), Error> {
     Ok((SessionId::from_raw(raw), rest))
 }
 
-/// The live gauges a [`crate::net`] server hands its workers so a
-/// [`Query::Stats`] frame answered on the socket path can report them:
-/// the per-worker queue depths and the transport counters.
-pub(crate) struct NetView<'a> {
-    /// Per-worker queue-depth gauges.
-    pub queues: &'a [AtomicUsize],
-    /// The server's transport counters.
-    pub transport: &'a TransportStats,
-}
-
-/// Answers one frame into `out` (cleared first): decode, resolve
-/// (through `memo`, so one session is looked up through its shard's lock
-/// at most once per loop), dispatch, encode — *the* per-frame code path
+/// Answers one frame into `out` (cleared first): [`decode_frame`],
+/// [`ZigzagService::dispatch_with`], encode — *the* per-frame code path
 /// shared by the serial loop, every worker, and the [`crate::net`] front
 /// end, which is what makes [`serve`] worker-count-invariant (and the
-/// socket server byte-identical to it). Writing into a caller-recycled
-/// `String` keeps the warm socket path allocation-free (pinned by
-/// `tests/netalloc.rs`).
+/// socket server byte-identical to it). `net` carries a socket server's
+/// gauges for [`crate::Query::Stats`]; `None` reports none. Writing into
+/// a caller-recycled `String` keeps the warm socket path
+/// allocation-free (pinned by `tests/netalloc.rs`).
 ///
-/// Three serving concerns live here so every caller gets them for free:
-///
-/// * **Service-level interception** — a [`Query::Stats`] frame is
-///   answered from the service's counters before any session is resolved
-///   (its session line is routing information only); `net` supplies the
-///   queue-depth gauges and transport counters of a [`crate::net`]
-///   server, `None` reports neither. [`Query::Export`] /
-///   [`Query::Import`] frames likewise run at the service level — the
-///   migration path works identically in-process and over a socket.
-/// * **Latency accounting** — each dispatch against a resolved session is
-///   timed into the service's histogram via
-///   `ZigzagService::record_dispatch`.
-/// * **Panic containment** — a panic anywhere in decode or dispatch is
-///   caught and answered as a deterministic [`Error::Internal`] document,
-///   so one hostile or buggy frame cannot take down the worker (or, under
-///   [`serve`]'s join, the whole batch). The memo only caches `Arc`
-///   clones inserted whole, so observing it across the catch is sound.
+/// A panic anywhere in decode or dispatch is caught and answered as a
+/// deterministic [`Error::Internal`] document, so one hostile or buggy
+/// frame cannot take down the worker (or, under [`serve`]'s join, the
+/// whole batch).
 pub(crate) fn respond_into(
     service: &ZigzagService,
     frame: &str,
-    memo: &mut HashMap<u64, Arc<StreamSession>>,
     net: Option<&NetView<'_>>,
     out: &mut String,
 ) {
     let answer = catch_unwind(AssertUnwindSafe(|| {
-        split_frame(frame).and_then(|(id, body)| {
-            let query = wire::decode_query(body).map_err(offset_body_error)?;
-            if matches!(query, Query::Stats) {
-                let (depths, transport) = net
-                    .map(|v| {
-                        let depths: Vec<u64> = v
-                            .queues
-                            .iter()
-                            .map(|q| q.load(Ordering::Relaxed) as u64)
-                            .collect();
-                        (depths, v.transport.snapshot())
-                    })
-                    .unwrap_or_default();
-                return Ok(Response::Stats(Box::new(
-                    service.stats_with_net(&depths, transport),
-                )));
-            }
-            // Migration frames are service-level like Stats: Export reads
-            // the addressed session through the service (never the memo —
-            // a migration must see the live table), Import installs a new
-            // one; both work identically in-process and over a socket.
-            if matches!(query, Query::Export) {
-                return Ok(Response::Exported(Box::new(service.export(id)?)));
-            }
-            // Append/EventCount/Recover are service-level too: wire
-            // appends route through the attached durable store (so socket
-            // clients get the same durability as in-process callers), the
-            // event count is the resilient client's exactly-once probe,
-            // and Recover sweeps the supervisor's store directory. Like
-            // Export they read the live table, never the memo.
-            if let Query::Append(ev) = &query {
-                return Ok(Response::Appended(service.append_routed(id, ev)?));
-            }
-            if matches!(query, Query::EventCount) {
-                return Ok(Response::EventCount(service.event_count(id)?));
-            }
-            if matches!(query, Query::Recover) {
-                return Ok(Response::Recovered(service.recover_routed()?));
-            }
-            if let Query::Import(log) = query {
-                return Ok(Response::Imported(service.import(*log)?));
-            }
-            let session = match memo.get(&id.raw()) {
-                Some(session) => Arc::clone(session),
-                None => {
-                    let session = service.session(id)?;
-                    memo.insert(id.raw(), Arc::clone(&session));
-                    session
-                }
-            };
-            let start = Instant::now();
-            let out = session.dispatch(&query);
-            service.record_dispatch(start.elapsed());
-            out
-        })
+        decode_frame(frame).and_then(|(id, query)| service.dispatch_with(id, &query, net))
     }))
     .unwrap_or_else(|_| {
         Err(Error::Internal {
@@ -294,15 +343,11 @@ pub(crate) fn respond_into(
     .expect("writing to a String is infallible");
 }
 
-/// [`respond_into`] for the in-process loop, which has no worker queues
-/// or transport counters to report and collects owned documents anyway.
-fn respond(
-    service: &ZigzagService,
-    frame: &str,
-    memo: &mut HashMap<u64, Arc<StreamSession>>,
-) -> String {
+/// [`respond_into`] for the in-process loop, which has no socket gauges
+/// to report and collects owned documents anyway.
+fn respond(service: &ZigzagService, frame: &str) -> String {
     let mut out = String::new();
-    respond_into(service, frame, memo, None, &mut out);
+    respond_into(service, frame, None, &mut out);
     out
 }
 
@@ -341,10 +386,9 @@ pub fn serve<S: AsRef<str> + Sync>(
 ) -> Vec<String> {
     let workers = workers.max(1).min(frames.len().max(1));
     if workers <= 1 {
-        let mut memo = HashMap::new();
         return frames
             .iter()
-            .map(|f| respond(service, f.as_ref(), &mut memo))
+            .map(|f| respond(service, f.as_ref()))
             .collect();
     }
     // Route once on the calling thread (one header parse per frame),
@@ -359,12 +403,11 @@ pub fn serve<S: AsRef<str> + Sync>(
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
-                    let mut memo = HashMap::new();
                     frames
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| owners[*i] == w)
-                        .map(|(i, f)| (i, respond(service, f.as_ref(), &mut memo)))
+                        .map(|(i, f)| (i, respond(service, f.as_ref())))
                         .collect::<Vec<_>>()
                 })
             })
@@ -448,6 +491,113 @@ mod tests {
             matches!(err, Error::Wire { line: 3, .. }),
             "body error not re-anchored: {err}"
         );
+    }
+
+    /// One error of every variant, with details that need escaping.
+    fn every_error() -> Vec<Error> {
+        vec![
+            Error::UnknownSession {
+                id: SessionId::from_raw(42),
+            },
+            Error::NotStreaming {
+                id: SessionId::from_raw(7),
+            },
+            Error::NoSpec,
+            Error::Wire {
+                line: 3,
+                detail: "unexpected token \"x\"".into(),
+            },
+            Error::ServiceLevelQuery,
+            Error::Overloaded { worker: 3 },
+            Error::Internal {
+                detail: "caught panic in dispatch".into(),
+            },
+            Error::Store {
+                detail: "log unreadable:\n100% full\ttab".into(),
+            },
+            Error::Transport {
+                detail: String::new(),
+            },
+        ]
+    }
+
+    #[test]
+    fn error_documents_round_trip_every_variant() {
+        for e in every_error() {
+            let doc = encode_error(&e);
+            assert!(is_error_document(&doc));
+            assert_eq!(doc.lines().count(), 3, "{doc:?}");
+            assert_eq!(
+                doc.lines().nth(1).unwrap(),
+                e.to_string().replace('\n', " ")
+            );
+            assert_eq!(decode_error(&doc), Ok(e.clone()), "{doc:?}");
+            let mut streamed = String::new();
+            encode_error_to(&mut streamed, &e).unwrap();
+            assert_eq!(streamed, doc);
+        }
+        // Layer errors cannot be rebuilt remotely: they decode to Internal
+        // carrying the display text, and stay non-retryable.
+        for layer in [
+            Error::Bcm(zigzag_bcm::BcmError::EmptyNetwork),
+            Error::Core(zigzag_core::CoreError::PositiveCycle),
+            Error::Coord(zigzag_coord::CoordError::Core(
+                zigzag_core::CoreError::PositiveCycle,
+            )),
+        ] {
+            let back = decode_error(&encode_error(&layer)).unwrap();
+            assert_eq!(
+                back,
+                Error::Internal {
+                    detail: layer.to_string()
+                }
+            );
+            assert!(!back.is_retryable());
+        }
+    }
+
+    #[test]
+    fn the_code_line_decides_not_the_display_text() {
+        let doc = "zigzag-error v1\nanything at all, reworded\ncode overloaded 5\n";
+        let e = decode_error(doc).unwrap();
+        assert_eq!(e, Error::Overloaded { worker: 5 });
+        assert!(e.is_retryable());
+        // An empty display line is text too.
+        let doc = "zigzag-error v1\n\ncode no-spec\n";
+        assert_eq!(decode_error(doc), Ok(Error::NoSpec));
+    }
+
+    #[test]
+    fn hostile_error_documents_are_wire_errors() {
+        for doc in [
+            "",
+            "zigzag-error v1",
+            "zigzag-error v1\n",
+            "zigzag-error v1\nserver overloaded: worker 3 queue is full\n",
+            "zigzag-response v1\nx\ncode no-spec\n",
+            "zigzag-error v1\nx\ncode\n",
+            "zigzag-error v1\nx\nkode no-spec\n",
+            "zigzag-error v1\nx\ncode reboot 1\n",
+            "zigzag-error v1\nx\ncode overloaded\n",
+            "zigzag-error v1\nx\ncode overloaded 3 4\n",
+            "zigzag-error v1\nx\ncode overloaded three\n",
+            "zigzag-error v1\nx\ncode overloaded -1\n",
+            "zigzag-error v1\nx\ncode unknown-session 99999999999999999999\n",
+            "zigzag-error v1\nx\ncode no-spec extra\n",
+            "zigzag-error v1\nx\ncode wire 3\n",
+            "zigzag-error v1\nx\ncode wire x detail\n",
+            "zigzag-error v1\nx\ncode store two tokens\n",
+            "zigzag-error v1\nx\ncode store bad%zzescape\n",
+            "zigzag-error v1\nx\ncode internal %ff\n",
+            "zigzag-error v1\nx\ncode no-spec\ncode no-spec\n",
+            // A display text that broke onto a second line.
+            "zigzag-error v1\nsession\ns1\ncode no-spec\n",
+        ] {
+            match decode_error(doc) {
+                Err(e @ Error::Wire { .. }) => assert!(!e.is_retryable()),
+                other => panic!("{doc:?} decoded to {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -14,16 +14,17 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use zigzag_bcm::stream::RunEvent;
 use zigzag_bcm::{Context, Run, RunCursor, Time};
 
 use crate::config::SessionConfig;
 use crate::error::Error;
+use crate::net::NetView;
 use crate::query::{Query, Response};
 use crate::session::{AppendReport, StreamSession};
-use crate::stats::{LatencyRecorder, StatsReport, StoreStats, TransportCounters};
+use crate::stats::{LatencyRecorder, StatsReport, StoreStats};
 use crate::store::SessionLog;
 
 /// An opaque handle naming one open session of a [`ZigzagService`].
@@ -228,6 +229,12 @@ impl ZigzagService {
     /// Fails with [`Error::Store`] if an event of the document does not
     /// replay.
     pub fn import(&self, log: SessionLog) -> Result<SessionId, Error> {
+        self.import_log(&log)
+    }
+
+    /// [`ZigzagService::import`] by reference, so a decoded
+    /// [`Query::Import`] installs without copying its document.
+    fn import_log(&self, log: &SessionLog) -> Result<SessionId, Error> {
         let session = log.restore()?;
         self.metrics
             .store
@@ -383,75 +390,57 @@ impl ZigzagService {
     /// Fails on unknown sessions or on the underlying engine error of the
     /// failing query.
     pub fn dispatch(&self, id: SessionId, query: &Query) -> Result<Response, Error> {
-        // Stats is service-level: answered here, before any session is
-        // resolved (the id is routing information only), and not counted
-        // as a dispatch — it measures the serving load, it isn't part of
-        // it.
-        if matches!(query, Query::Stats) {
-            return Ok(Response::Stats(Box::new(self.stats())));
-        }
-        // Export/Import are service-level too (Import installs into the
-        // session table; Export needs the session handle): answered here
-        // and not counted as dispatches. For Export the id addresses the
-        // session to serialize; for Import it is routing-only.
-        if matches!(query, Query::Export) {
-            return Ok(Response::Exported(Box::new(self.export(id)?)));
-        }
-        if let Query::Import(log) = query {
-            return Ok(Response::Imported(self.import((**log).clone())?));
-        }
-        // Append/EventCount/Recover are service-level for the same reason:
-        // appends route through the attached durable store, the event
-        // count is the client's exactly-once probe, and recovery sweeps
-        // the whole store directory. Like the others they are not counted
-        // as dispatches.
-        if let Query::Append(ev) = query {
-            return Ok(Response::Appended(self.append_routed(id, ev)?));
-        }
-        if matches!(query, Query::EventCount) {
-            return Ok(Response::EventCount(self.event_count(id)?));
-        }
-        if matches!(query, Query::Recover) {
-            return Ok(Response::Recovered(self.recover_routed()?));
+        self.dispatch_with(id, query, None)
+    }
+
+    /// [`ZigzagService::dispatch`] with the gauges of the
+    /// [`crate::net`] server answering the frame, if any — the one place
+    /// a query is routed, shared by in-process callers, the
+    /// [`crate::serve`] loop and the socket workers.
+    ///
+    /// Six queries are service-level: answered here, not by a session,
+    /// and not counted as dispatches (they are not knowledge queries).
+    /// [`Query::Stats`] reads the service's counters (plus `net`'s queue
+    /// depths and transport counters); its id is routing-only, as is
+    /// [`Query::Import`]'s and [`Query::Recover`]'s. [`Query::Export`],
+    /// [`Query::Append`] and [`Query::EventCount`] act on the addressed
+    /// live session, appends through the attached durable store.
+    pub(crate) fn dispatch_with(
+        &self,
+        id: SessionId,
+        query: &Query,
+        net: Option<&NetView<'_>>,
+    ) -> Result<Response, Error> {
+        match query {
+            Query::Stats => return Ok(Response::Stats(Box::new(self.stats_with_net(net)))),
+            Query::Export => return Ok(Response::Exported(Box::new(self.export(id)?))),
+            Query::Import(log) => return Ok(Response::Imported(self.import_log(log)?)),
+            Query::Append(ev) => return Ok(Response::Appended(self.append_routed(id, ev)?)),
+            Query::EventCount => return Ok(Response::EventCount(self.event_count(id)?)),
+            Query::Recover => return Ok(Response::Recovered(self.recover_routed()?)),
+            _ => {}
         }
         let session = self.session(id)?;
         let start = Instant::now();
         let out = session.dispatch(query);
-        self.record_dispatch(start.elapsed());
+        self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);
+        self.metrics.latency.record(start.elapsed());
         out
     }
 
-    /// Records one dispatch's wall time into the service's counters —
-    /// shared by [`ZigzagService::dispatch`] and the [`crate::serve`] /
-    /// [`crate::net`] loops (which resolve sessions themselves).
-    pub(crate) fn record_dispatch(&self, elapsed: Duration) {
-        self.metrics.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.metrics.latency.record(elapsed);
-    }
-
-    /// A point-in-time [`StatsReport`] with no queue gauges — the answer
-    /// [`ZigzagService::dispatch`] gives [`Query::Stats`]. A [`crate::net`]
-    /// server answers with [`ZigzagService::stats_with_queues`] instead.
+    /// A point-in-time [`StatsReport`]: the answer
+    /// [`ZigzagService::dispatch`] gives [`Query::Stats`], with no queue
+    /// gauges or transport counters (a [`crate::net`] server's answer
+    /// carries its own).
     pub fn stats(&self) -> StatsReport {
-        self.stats_with_queues(&[])
+        self.stats_with_net(None)
     }
 
-    /// A point-in-time [`StatsReport`] carrying the caller's per-worker
-    /// queue-depth gauges. Cache counters are summed over every open
-    /// session; each shard's lock is held only long enough to copy its
-    /// handle list, never across counter collection.
-    pub fn stats_with_queues(&self, queue_depths: &[u64]) -> StatsReport {
-        self.stats_with_net(queue_depths, TransportCounters::default())
-    }
-
-    /// [`ZigzagService::stats_with_queues`] with the caller's transport
-    /// counters attached — the form a [`crate::net`] server answers
-    /// [`Query::Stats`] with.
-    pub fn stats_with_net(
-        &self,
-        queue_depths: &[u64],
-        transport: TransportCounters,
-    ) -> StatsReport {
+    /// [`ZigzagService::stats`] with `net`'s per-worker queue depths and
+    /// transport counters attached. Cache counters are summed over every
+    /// open session; each shard's lock is held only long enough to copy
+    /// its handle list, never across counter collection.
+    fn stats_with_net(&self, net: Option<&NetView<'_>>) -> StatsReport {
         let mut sessions_per_shard = Vec::with_capacity(self.shards.len());
         let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
         for shard in self.shards.iter() {
@@ -477,8 +466,15 @@ impl ZigzagService {
             observer_misses: misses,
             observer_evictions: evictions,
             sessions_per_shard,
-            queue_depths: queue_depths.to_vec(),
-            transport,
+            queue_depths: net
+                .map(|v| {
+                    v.queues
+                        .iter()
+                        .map(|q| q.load(Ordering::Relaxed) as u64)
+                        .collect()
+                })
+                .unwrap_or_default(),
+            transport: net.map(|v| v.transport.snapshot()).unwrap_or_default(),
             store: self.metrics.store.snapshot(),
         }
     }

@@ -140,15 +140,14 @@ fn dispatch_on(inner: &StreamInner, query: &Query) -> Result<Response, Error> {
                 sigma_c,
             }))
         }
-        // Service-level: a bare session has no service-wide counters to
-        // answer with. ZigzagService::dispatch (and the serve/net loops)
-        // intercept Stats before any session is resolved. Export/Import
-        // are likewise intercepted there: exporting needs the session's
-        // handle, and importing installs a new session into the service
-        // table. Append/EventCount/Recover are intercepted too: appends
-        // must route through the durable store (and never nest in a
-        // batch, where the exactly-once probe could not tell which batch
-        // member landed), and recovery sweeps the whole store directory.
+        // Service-level: ZigzagService::dispatch_with, the one routing
+        // point of every caller, answers these before any session is
+        // resolved. A bare session has no service-wide counters (Stats),
+        // exporting needs the session's handle, importing installs into
+        // the service table, appends must route through the durable
+        // store (and never nest in a batch, where the exactly-once probe
+        // could not tell which batch member landed), and recovery sweeps
+        // the whole store directory.
         Query::Stats
         | Query::Export
         | Query::Import(_)

@@ -32,7 +32,8 @@
 //!
 //! where the document is, client→server, a complete `zigzag-frame v1`
 //! text ([`crate::serve::encode_frame`]) and, server→client, a
-//! `zigzag-response v1` or `zigzag-error v1` text — exactly the strings
+//! `zigzag-response v1` or `zigzag-error v1` text (the error grammar is
+//! in [`crate::serve`]'s module docs) — exactly the strings
 //! the in-process [`crate::serve::serve`] loop consumes and produces, so
 //! the socket boundary adds framing and nothing else. Responses come
 //! back in the connection's frame-arrival order. A length above the
@@ -443,27 +444,28 @@ impl<'a> Lines<'a> {
     }
 }
 
-/// A token cursor over one line.
-struct Tokens<'a> {
+/// A token cursor over one line; [`crate::serve::decode_error`] reads
+/// the error code line through it too.
+pub(crate) struct Tokens<'a> {
     it: std::str::SplitWhitespace<'a>,
     line_no: usize,
 }
 
 impl<'a> Tokens<'a> {
-    fn new(line: &'a str, line_no: usize) -> Self {
+    pub(crate) fn new(line: &'a str, line_no: usize) -> Self {
         Tokens {
             it: line.split_whitespace(),
             line_no,
         }
     }
 
-    fn next(&mut self) -> Result<&'a str, Error> {
+    pub(crate) fn next(&mut self) -> Result<&'a str, Error> {
         self.it
             .next()
             .ok_or_else(|| bad(self.line_no, "missing token"))
     }
 
-    fn num<T: std::str::FromStr>(&mut self) -> Result<T, Error> {
+    pub(crate) fn num<T: std::str::FromStr>(&mut self) -> Result<T, Error> {
         let tok = self.next()?;
         tok.parse()
             .map_err(|_| bad(self.line_no, format!("bad number {tok:?}")))
@@ -521,7 +523,7 @@ impl<'a> Tokens<'a> {
             .map_err(|e| bad(self.line_no, format!("bad general node: {e}")))
     }
 
-    fn done(&mut self) -> Result<(), Error> {
+    pub(crate) fn done(&mut self) -> Result<(), Error> {
         match self.it.next() {
             Some(tok) => Err(bad(self.line_no, format!("trailing token {tok:?}"))),
             None => Ok(()),

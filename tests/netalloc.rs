@@ -7,7 +7,7 @@
 //! travel in pooled `String`s (reader → worker → pool), responses are
 //! encoded into pooled `String`s (worker → writer → pool), the reply
 //! rail's heap and the writer's batch/output buffers hold their warm
-//! capacity, the worker's session memo is cleared (not dropped), and the
+//! capacity, each frame's session lookup is an `Arc` clone, and the
 //! warm observer-cache dispatch underneath was already pinned
 //! allocation-free by the PR 6 layout tier. This test pins the whole
 //! stack at once with a process-global counting allocator: the server is

@@ -188,7 +188,10 @@ fn session_lifecycle_and_error_surface() {
         assert!(matches!(err, Error::NotStreaming { .. }), "{what}: {err:?}");
         assert_eq!(
             err.to_string(),
-            format!("session {id} is a batch session; cannot append events"),
+            format!(
+                "session {id} is sealed over a recorded run; it has no event count \
+                 and accepts no appends or exports"
+            ),
             "{what}"
         );
     }
