@@ -117,11 +117,11 @@ pub enum Query {
     ),
     /// Appends one event to the addressed stream session over the wire.
     /// Service-level like [`Query::Export`] (cannot nest in a batch or
-    /// hit a bare session): the service routes the append through the
-    /// durable store when a [`crate::SessionSupervisor`] manages the
-    /// session, so wire appends and in-process appends share one
-    /// durability path. Answered by [`Response::Appended`] carrying the
-    /// session's event count *after* the append — the anchor for the
+    /// hit a bare session): answered by [`crate::ZigzagService::append`],
+    /// the one append path, so a durable session logs a wire append
+    /// exactly as it logs an in-process one. Answered by
+    /// [`Response::Appended`] carrying the session's event count *after*
+    /// the append, read under the same write lock — the anchor for the
     /// client's exactly-once probe.
     Append(
         /// The event to append.

@@ -10,10 +10,10 @@
 //! services, async front ends, networked serving over the wire encoding)
 //! is a deployment of this surface.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Instant;
 
 use zigzag_bcm::stream::RunEvent;
@@ -26,6 +26,7 @@ use crate::query::{Query, Response};
 use crate::session::{AppendReport, StreamSession};
 use crate::stats::{LatencyRecorder, StatsReport, StoreStats};
 use crate::store::SessionLog;
+use crate::supervisor::SessionSupervisor;
 
 /// An opaque handle naming one open session of a [`ZigzagService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,6 +62,18 @@ struct Shard {
     sessions: Mutex<HashMap<u64, Arc<StreamSession>>>,
 }
 
+impl Shard {
+    /// The shard's sessions, with its lock held only to copy the list.
+    fn snapshot(&self) -> Vec<Arc<StreamSession>> {
+        self.sessions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .cloned()
+            .collect()
+    }
+}
+
 /// The service's monotone serving counters; see [`crate::stats`].
 #[derive(Debug, Default)]
 struct Metrics {
@@ -68,49 +81,10 @@ struct Metrics {
     dispatches: AtomicU64,
     /// Wall-time histogram over those dispatches.
     latency: LatencyRecorder,
-    /// Durability counters, billed into by every attached
-    /// [`crate::store::SessionStore`] and by export/import.
-    store: StoreStats,
-}
-
-/// The durable-routing hook a [`crate::SessionSupervisor`] registers on
-/// its service: wire-level appends on store-managed sessions go through
-/// the store (log + fsync + checkpoint cadence) instead of bypassing
-/// durability, and [`Query::Recover`] sweeps the store directory.
-///
-/// The service holds only a [`Weak`] reference — the supervisor owns the
-/// service (`Arc`), never the other way around, so dropping the
-/// supervisor detaches the hook without a reference cycle.
-pub(crate) trait Supervise: Send + Sync {
-    /// Appends through the durable store if `id` is store-managed;
-    /// `None` means "not mine — use the plain in-memory path".
-    fn durable_append(
-        &self,
-        service: &ZigzagService,
-        id: SessionId,
-        ev: &RunEvent,
-    ) -> Option<Result<AppendReport, Error>>;
-
-    /// Recovers every unattached `<name>.log` in the store directory,
-    /// answering (name, assigned id) pairs sorted by name.
-    fn recover_all(&self, service: &ZigzagService) -> Result<Vec<(String, SessionId)>, Error>;
-}
-
-/// Interior slot for the supervisor hook; manual `Debug` because trait
-/// objects have none.
-#[derive(Default)]
-struct SupervisorSlot(Mutex<Option<Weak<dyn Supervise>>>);
-
-impl fmt::Debug for SupervisorSlot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let attached = self
-            .0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .is_some_and(|w| w.strong_count() > 0);
-        f.debug_tuple("SupervisorSlot").field(&attached).finish()
-    }
+    /// Durability counters, billed into by every durable session's log
+    /// writer, by the [`crate::store::SessionStore`] and by
+    /// export/import.
+    store: Arc<StoreStats>,
 }
 
 /// The unified service facade; see the [module docs](self) and the
@@ -130,7 +104,14 @@ pub struct ZigzagService {
     shards: Box<[Shard]>,
     next: AtomicU64,
     metrics: Metrics,
-    supervisor: SupervisorSlot,
+    /// The supervisor whose store [`Query::Recover`] sweeps. `Weak`: the
+    /// supervisor owns the service, never the other way around, so
+    /// dropping the supervisor detaches it without a reference cycle.
+    supervisor: Mutex<Option<Weak<SessionSupervisor>>>,
+    /// Held while a log is attached to a new session, so two attaches of
+    /// one log to this service cannot both pass the check that no live
+    /// session writes it.
+    attach: Mutex<()>,
 }
 
 impl Default for ZigzagService {
@@ -157,28 +138,18 @@ impl ZigzagService {
             shards: table.into_boxed_slice(),
             next: AtomicU64::new(0),
             metrics: Metrics::default(),
-            supervisor: SupervisorSlot::default(),
+            supervisor: Mutex::new(None),
+            attach: Mutex::new(()),
         }
     }
 
-    /// Registers (or replaces) the supervisor hook. `Weak`: the service
-    /// must never keep its supervisor alive.
-    pub(crate) fn set_supervisor(&self, sup: Weak<dyn Supervise>) {
+    /// Registers (or replaces) the supervisor. `Weak`: the service must
+    /// never keep its supervisor alive.
+    pub(crate) fn set_supervisor(&self, sup: Weak<SessionSupervisor>) {
         *self
             .supervisor
-            .0
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = Some(sup);
-    }
-
-    /// The currently attached supervisor, if it is still alive.
-    pub(crate) fn supervisor(&self) -> Option<Arc<dyn Supervise>> {
-        self.supervisor
-            .0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .and_then(Weak::upgrade)
     }
 
     /// Number of session-table shards.
@@ -197,6 +168,26 @@ impl ZigzagService {
     /// export/import path, surfaced by [`Query::Stats`].
     pub fn store_stats(&self) -> &StoreStats {
         &self.metrics.store
+    }
+
+    /// The durability counters, for a durable session's log writer.
+    pub(crate) fn shared_store_stats(&self) -> Arc<StoreStats> {
+        Arc::clone(&self.metrics.store)
+    }
+
+    /// Serializes attaching logs to sessions of this service; see
+    /// [`crate::store::SessionStore::recover`].
+    pub(crate) fn attaching(&self) -> MutexGuard<'_, ()> {
+        self.attach.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The names of the logs this service's live durable sessions write.
+    pub(crate) fn attached_logs(&self) -> HashSet<String> {
+        self.shards
+            .iter()
+            .flat_map(|shard| shard.snapshot())
+            .filter_map(|session| session.log_name())
+            .collect()
     }
 
     /// Writes a live session out as a portable [`SessionLog`] ending in
@@ -240,15 +231,12 @@ impl ZigzagService {
             .store
             .migrations
             .fetch_add(1, Ordering::Relaxed);
-        Ok(self.insert(session))
+        Ok(self.install(session))
     }
 
-    /// Installs an already-built session — the store's recovery path.
+    /// Installs an already-built session (the store's open and recovery
+    /// paths install durable ones).
     pub(crate) fn install(&self, session: StreamSession) -> SessionId {
-        self.insert(session)
-    }
-
-    fn insert(&self, session: StreamSession) -> SessionId {
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         // Table locks guard pure HashMap operations that cannot be
         // interrupted by a panic mid-mutation, so a poisoned lock (left
@@ -290,7 +278,7 @@ impl ZigzagService {
     /// here, once. It answers every query a stream session does, and
     /// refuses appends, event counts and exports.
     pub fn open_batch(&self, run: Run, config: SessionConfig) -> SessionId {
-        self.insert(StreamSession::sealed(run, config))
+        self.install(StreamSession::sealed(run, config))
     }
 
     /// Opens a stream session over an empty stream on `context`,
@@ -302,7 +290,7 @@ impl ZigzagService {
         horizon: Time,
         config: SessionConfig,
     ) -> SessionId {
-        self.insert(StreamSession::new(context, horizon, config))
+        self.install(StreamSession::new(context, horizon, config))
     }
 
     /// Opens a stream session and replays a recorded run into it event by
@@ -324,17 +312,22 @@ impl ZigzagService {
         while let Some(ev) = cursor.next_event() {
             reports.push(session.append(&ev)?);
         }
-        Ok((self.insert(session), reports))
+        Ok((self.install(session), reports))
     }
 
-    /// Appends one event to a stream session. Only that session's own
-    /// write lock is taken; queries on other sessions proceed.
+    /// Appends one event to a stream session — the one append path,
+    /// behind [`Query::Append`] and [`crate::store::SessionStore::append`]
+    /// too. Only that session's own write lock is taken; queries on
+    /// other sessions proceed. A durable session writes the event's log
+    /// record under that lock.
     ///
     /// # Errors
     ///
     /// Fails on unknown or sealed sessions, or if the event is
     /// inconsistent with the grown prefix (which poisons the session's
-    /// engine, as `IncrementalEngine::append_event` documents).
+    /// engine, as `IncrementalEngine::append_event` documents). A durable
+    /// session fails with [`Error::Store`] when its log is broken or its
+    /// write fails; see [`crate::store`].
     pub fn append(&self, id: SessionId, ev: &RunEvent) -> Result<AppendReport, Error> {
         self.live(id)?.append(ev)
     }
@@ -349,35 +342,28 @@ impl ZigzagService {
         Ok(self.live(id)?.event_count()? as u64)
     }
 
-    /// The append path behind [`Query::Append`]: routes through the
-    /// attached supervisor's durable store when one manages `id`, falling
-    /// back to the plain in-memory [`ZigzagService::append`]. Answers the
-    /// event count after the append.
-    pub(crate) fn append_routed(&self, id: SessionId, ev: &RunEvent) -> Result<u64, Error> {
-        match self
-            .supervisor()
-            .and_then(|s| s.durable_append(self, id, ev))
-        {
-            Some(out) => out.map(|_| ()),
-            None => self.append(id, ev).map(|_| ()),
-        }?;
-        self.event_count(id)
-    }
-
-    /// The recovery sweep behind [`Query::Recover`]: delegates to the
-    /// attached supervisor.
+    /// The recovery sweep behind [`Query::Recover`]: sweeps the store of
+    /// the attached supervisor, if it is still alive.
     ///
     /// # Errors
     ///
     /// Fails with [`Error::Store`] when no supervisor is attached, or
     /// propagates the first recovery failure.
-    pub(crate) fn recover_routed(&self) -> Result<Vec<(String, SessionId)>, Error> {
-        match self.supervisor() {
-            Some(sup) => sup.recover_all(self),
-            None => Err(Error::Store {
+    fn recover_routed(&self) -> Result<Vec<(String, SessionId)>, Error> {
+        let sup = self
+            .supervisor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .and_then(Weak::upgrade)
+            .ok_or_else(|| Error::Store {
                 detail: "no supervisor is attached to this service".into(),
-            }),
-        }
+            })?;
+        let swept = sup.store().recover_all(self)?;
+        Ok(swept
+            .into_iter()
+            .map(|(name, rec)| (name, rec.id))
+            .collect())
     }
 
     /// Answers one query (or a whole [`Query::QueryBatch`]) against a
@@ -404,7 +390,7 @@ impl ZigzagService {
     /// depths and transport counters); its id is routing-only, as is
     /// [`Query::Import`]'s and [`Query::Recover`]'s. [`Query::Export`],
     /// [`Query::Append`] and [`Query::EventCount`] act on the addressed
-    /// live session, appends through the attached durable store.
+    /// live session, appends through [`ZigzagService::append`].
     pub(crate) fn dispatch_with(
         &self,
         id: SessionId,
@@ -415,7 +401,7 @@ impl ZigzagService {
             Query::Stats => return Ok(Response::Stats(Box::new(self.stats_with_net(net)))),
             Query::Export => return Ok(Response::Exported(Box::new(self.export(id)?))),
             Query::Import(log) => return Ok(Response::Imported(self.import_log(log)?)),
-            Query::Append(ev) => return Ok(Response::Appended(self.append_routed(id, ev)?)),
+            Query::Append(ev) => return Ok(Response::Appended(self.append(id, ev)?.events)),
             Query::EventCount => return Ok(Response::EventCount(self.event_count(id)?)),
             Query::Recover => return Ok(Response::Recovered(self.recover_routed()?)),
             _ => {}
@@ -444,13 +430,7 @@ impl ZigzagService {
         let mut sessions_per_shard = Vec::with_capacity(self.shards.len());
         let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
         for shard in self.shards.iter() {
-            let sessions: Vec<Arc<StreamSession>> = shard
-                .sessions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .values()
-                .cloned()
-                .collect();
+            let sessions = shard.snapshot();
             sessions_per_shard.push(sessions.len() as u64);
             for session in &sessions {
                 let (h, m, e) = session.cache_counters();

@@ -17,17 +17,18 @@
 //! # Locking
 //!
 //! Sessions synchronize **individually**, never through a shared lock:
-//! each guards its engine with one `RwLock` — queries share read
-//! access, appends take the write side. One slow query on one session
-//! never blocks traffic on another. A sealed session is refused before
+//! each guards its engine — and, for a durable session, its log writer
+//! ([`crate::store`]) — with one `RwLock`. Queries share read access;
+//! an append takes the write side, applies the event and writes its log
+//! record before releasing it. One slow query on one session never
+//! blocks traffic on another. A sealed session is refused before
 //! its write lock is taken, so that lock never sees a writer and can
 //! never be poisoned. The only re-entrancy hazard left is a
 //! [`crate::ZigzagService::with_run`] closure calling back into the
 //! *same* session (read-read recursion on its `RwLock`), which the
 //! method docs forbid.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use zigzag_bcm::stream::RunEvent;
 use zigzag_bcm::{Context, NodeId, Run, Time};
@@ -37,7 +38,7 @@ use zigzag_core::incremental::IncrementalEngine;
 use crate::config::SessionConfig;
 use crate::error::Error;
 use crate::query::{CoordReport, FastRunReport, Query, Response, WitnessReport};
-use crate::store::Checkpoint;
+use crate::store::{Checkpoint, LogWriter};
 
 /// What one appended event meant for a stream session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +51,9 @@ pub struct AppendReport {
     /// node belongs to `B` (whether `B` knows enough to act right there),
     /// `None` otherwise. Always `None` without a spec.
     pub b_knows: Option<bool>,
+    /// The session's event count right after this append, read under
+    /// the same write lock (what [`Query::Append`] answers).
+    pub events: u64,
 }
 
 /// The stream session's engine, with or without a coordination driver.
@@ -78,6 +82,26 @@ impl StreamInner {
             StreamInner::Coord(driver) => Some((driver.first_known(), driver.sigma_c())),
         }
     }
+
+    /// The derived state a checkpoint record carries.
+    fn checkpoint(&self) -> Checkpoint {
+        let engine = self.engine();
+        let (first_known, sigma_c) = self.progress().unwrap_or((None, None));
+        Checkpoint {
+            events: engine.event_count() as u64,
+            first_known,
+            sigma_c,
+            observers: engine.observer_keys(),
+        }
+    }
+}
+
+/// What a session's `RwLock` guards.
+#[derive(Debug)]
+struct State {
+    inner: StreamInner,
+    /// A durable session's log writer; `None` for an in-memory session.
+    log: Option<LogWriter>,
 }
 
 /// Answers one query on a session's engine — *the* dispatch code path
@@ -144,10 +168,10 @@ fn dispatch_on(inner: &StreamInner, query: &Query) -> Result<Response, Error> {
         // point of every caller, answers these before any session is
         // resolved. A bare session has no service-wide counters (Stats),
         // exporting needs the session's handle, importing installs into
-        // the service table, appends must route through the durable
-        // store (and never nest in a batch, where the exactly-once probe
-        // could not tell which batch member landed), and recovery sweeps
-        // the whole store directory.
+        // the service table, appends take the write lock (and never nest
+        // in a batch, where the exactly-once probe could not tell which
+        // batch member landed), and recovery sweeps the whole store
+        // directory.
         Query::Stats
         | Query::Export
         | Query::Import(_)
@@ -165,17 +189,17 @@ fn dispatch_on(inner: &StreamInner, query: &Query) -> Result<Response, Error> {
 /// One open session of a [`crate::ZigzagService`]: an append-only run
 /// wrapped around an [`IncrementalEngine`] (plus a [`StreamDriver`] when
 /// a coordination spec is configured), under the session's
-/// [`CachePolicy`]. The engine sits behind a session-local `RwLock`:
-/// queries share read access, appends take the write side — no
-/// cross-session lock exists. A **sealed** session (see the [module
-/// docs](self)) holds a complete recorded run and is never appended to.
+/// [`CachePolicy`]. The engine — with a durable session's log writer —
+/// sits behind a session-local `RwLock`: queries share read access,
+/// appends take the write side — no cross-session lock exists. A
+/// **sealed** session (see the [module docs](self)) holds a complete
+/// recorded run and is never appended to.
 ///
 /// [`CachePolicy`]: crate::CachePolicy
 #[derive(Debug)]
 pub struct StreamSession {
-    inner: RwLock<StreamInner>,
+    state: RwLock<State>,
     config: SessionConfig,
-    appends: AtomicU64,
     /// Set only by [`StreamSession::sealed`]: the service refuses
     /// appends, event counts and exports on this session.
     sealed: bool,
@@ -186,23 +210,21 @@ impl StreamSession {
     /// `horizon`.
     pub fn new(context: Arc<Context>, horizon: Time, config: SessionConfig) -> Self {
         let engine = IncrementalEngine::new(context, horizon);
-        Self::resume(config, engine, 0, None, None)
+        Self::resume(config, engine, None, None)
     }
 
     /// Resumes a session over an engine already holding a recovered (or
-    /// imported) run prefix, seeding the coordination progress and the
-    /// append counter a checkpoint recorded — the restore path of
-    /// [`crate::store`]. `events` seeds the compaction cadence so
-    /// periodic maintenance continues on the same schedule as an
-    /// uninterrupted session.
+    /// imported) run prefix, seeding the coordination progress a
+    /// checkpoint recorded — the restore path of [`crate::store`]. The
+    /// compaction and checkpoint cadences count the engine's events, so
+    /// they continue on the same schedule as an uninterrupted session.
     pub(crate) fn resume(
         config: SessionConfig,
         engine: IncrementalEngine,
-        events: u64,
         first_known: Option<NodeId>,
         sigma_c: Option<NodeId>,
     ) -> Self {
-        Self::assemble(config, engine, events, false, |spec, engine, probe| {
+        Self::assemble(config, engine, false, |spec, engine, probe| {
             StreamDriver::resume(spec, engine, probe, sigma_c, first_known)
         })
     }
@@ -212,8 +234,7 @@ impl StreamSession {
     /// progress is computed once, here.
     pub(crate) fn sealed(run: Run, config: SessionConfig) -> Self {
         let engine = IncrementalEngine::from_prefix(run);
-        let events = engine.event_count() as u64;
-        Self::assemble(config, engine, events, true, StreamDriver::adopt)
+        Self::assemble(config, engine, true, StreamDriver::adopt)
     }
 
     /// The one construction site: applies the config's observer cap
@@ -222,7 +243,6 @@ impl StreamSession {
     fn assemble(
         config: SessionConfig,
         mut engine: IncrementalEngine,
-        events: u64,
         sealed: bool,
         drive: impl FnOnce(TimedCoordination, IncrementalEngine, ProbeSemantics) -> StreamDriver,
     ) -> Self {
@@ -232,9 +252,8 @@ impl StreamSession {
             None => StreamInner::Plain(engine),
         };
         StreamSession {
-            inner: RwLock::new(inner),
+            state: RwLock::new(State { inner, log: None }),
             config,
-            appends: AtomicU64::new(events),
             sealed,
         }
     }
@@ -250,6 +269,31 @@ impl StreamSession {
         self.sealed
     }
 
+    /// Makes the session durable: `log` records every later append.
+    pub(crate) fn logging_to(mut self, log: LogWriter) -> Self {
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        state.log = Some(log);
+        self
+    }
+
+    /// The name of the log a durable session writes (a poisoned one
+    /// too); `None` for an in-memory session.
+    pub(crate) fn log_name(&self) -> Option<String> {
+        let state = self.state.read().unwrap_or_else(PoisonError::into_inner);
+        state.log.as_ref().map(|log| log.name.clone())
+    }
+
+    /// Writes a checkpoint record to the session's log now; fails with
+    /// [`Error::Store`] on an in-memory session or a broken log.
+    pub(crate) fn checkpoint(&self) -> Result<(), Error> {
+        let mut state = self.state.write().map_err(|_| poisoned())?;
+        let State { inner, log } = &mut *state;
+        let log = log.as_mut().ok_or_else(|| Error::Store {
+            detail: "session is not durable: it has no log".into(),
+        })?;
+        log.checkpoint(&inner.checkpoint())
+    }
+
     /// Runs `f` over the grown run and a [`Checkpoint`] of the session's
     /// derived state — event count, coordination progress, warm-observer
     /// manifest — all read under **one** read-lock acquisition, so they
@@ -262,18 +306,8 @@ impl StreamSession {
         &self,
         f: impl FnOnce(&Run, Checkpoint) -> T,
     ) -> Result<T, Error> {
-        let inner = self.read()?;
-        let engine = inner.engine();
-        let (first_known, sigma_c) = inner.progress().unwrap_or((None, None));
-        Ok(f(
-            engine.run(),
-            Checkpoint {
-                events: engine.event_count() as u64,
-                first_known,
-                sigma_c,
-                observers: engine.observer_keys(),
-            },
-        ))
+        let state = self.read()?;
+        Ok(f(state.inner.engine().run(), state.inner.checkpoint()))
     }
 
     /// A poisoned session lock is *not* recovered: only the write side
@@ -282,10 +316,8 @@ impl StreamSession {
     /// half-updated. Refusing with a typed error (instead of cascading
     /// the panic into every later caller) keeps the server alive while
     /// quarantining the session.
-    fn read(&self) -> Result<RwLockReadGuard<'_, StreamInner>, Error> {
-        self.inner.read().map_err(|_| Error::Internal {
-            detail: "stream session poisoned by a panicked append".into(),
-        })
+    fn read(&self) -> Result<RwLockReadGuard<'_, State>, Error> {
+        self.state.read().map_err(|_| poisoned())
     }
 
     /// Runs `f` over the underlying incremental engine (shared read
@@ -296,7 +328,7 @@ impl StreamSession {
     /// Fails with [`Error::Internal`] if an earlier append panicked
     /// mid-step and poisoned the session.
     pub fn with_engine<T>(&self, f: impl FnOnce(&IncrementalEngine) -> T) -> Result<T, Error> {
-        Ok(f(self.read()?.engine()))
+        Ok(f(self.read()?.inner.engine()))
     }
 
     /// Runs `f` over the run (sealed) or grown prefix (live) without
@@ -337,7 +369,9 @@ impl StreamSession {
 
     /// Appends one event, evaluating the coordination decision when a
     /// spec is configured, and running the cache policy's periodic
-    /// append-log compaction. The service never calls this on a sealed
+    /// append-log compaction. A durable session writes the event's log
+    /// record (and the cadence's checkpoint record) before the write
+    /// lock is released. The service never calls this on a sealed
     /// session; it refuses with [`Error::NotStreaming`] first.
     ///
     /// # Errors
@@ -345,35 +379,37 @@ impl StreamSession {
     /// Fails if the event is inconsistent with the grown prefix; the
     /// failure poisons the underlying engine (every later operation is
     /// refused) exactly as [`IncrementalEngine::append_event`] documents.
+    /// A durable session fails with [`Error::Store`] before applying
+    /// anything if its log is broken, and after applying the event if
+    /// writing its record fails (which breaks the log).
     pub fn append(&self, ev: &RunEvent) -> Result<AppendReport, Error> {
-        let mut inner = self.inner.write().map_err(|_| Error::Internal {
-            detail: "stream session poisoned by a panicked append".into(),
-        })?;
-        let report = match &mut *inner {
-            StreamInner::Plain(engine) => {
-                let node = engine.append_event(ev)?;
-                AppendReport {
-                    node,
-                    time: ev.time,
-                    b_knows: None,
-                }
-            }
+        let mut state = self.state.write().map_err(|_| poisoned())?;
+        let State { inner, log } = &mut *state;
+        if let Some(log) = log.as_ref() {
+            log.ready()?;
+        }
+        let (node, time, b_knows) = match inner {
+            StreamInner::Plain(engine) => (engine.append_event(ev)?, ev.time, None),
             StreamInner::Coord(driver) => {
                 let step = driver.step(ev)?;
-                AppendReport {
-                    node: step.node,
-                    time: step.time,
-                    b_knows: step.b_knows,
-                }
+                (step.node, step.time, step.b_knows)
             }
         };
-        let appends = self.appends.fetch_add(1, Ordering::Relaxed) + 1;
+        let events = inner.engine().event_count() as u64;
+        if let Some(log) = log.as_mut() {
+            log.event(ev, events, || inner.checkpoint())?;
+        }
         if let Some(every) = self.config.cache.compact_every {
-            if appends.is_multiple_of(every) {
+            if events.is_multiple_of(every) {
                 inner.engine().compact()?;
             }
         }
-        Ok(report)
+        Ok(AppendReport {
+            node,
+            time,
+            b_knows,
+            events,
+        })
     }
 
     /// Answers one query on the current prefix (shared read access); see
@@ -383,6 +419,13 @@ impl StreamSession {
     ///
     /// Propagates the underlying engine error for the failing query.
     pub fn dispatch(&self, query: &Query) -> Result<Response, Error> {
-        dispatch_on(&*self.read()?, query)
+        dispatch_on(&self.read()?.inner, query)
+    }
+}
+
+/// The error every lock acquisition on a poisoned session answers.
+fn poisoned() -> Error {
+    Error::Internal {
+        detail: "stream session poisoned by a panicked append".into(),
     }
 }

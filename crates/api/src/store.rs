@@ -1,12 +1,18 @@
 //! Durable sessions: one append-only event log per session, checkpoint
 //! records, crash recovery and live migration.
 //!
-//! Every stream session of a [`ZigzagService`] can be made **durable** by
-//! routing its appends through a [`SessionStore`]: each appended
-//! [`RunEvent`] is written as one self-delimiting record to an
-//! append-only per-session log, and every
+//! A stream session of a [`ZigzagService`] is **durable** when it owns an
+//! append-only event log ([`SessionStore::open_stream`],
+//! [`SessionStore::recover`]). Every append to it, by any route, writes
+//! one self-delimiting record under the session's write lock right after
+//! the event is applied — so log order is apply order, and a query on
+//! that session waits for the write — and every
 //! [`StoreConfig::snapshot_every`] appends a *checkpoint* record follows
-//! it. Under the full-information protocol a process's state is its local
+//! it. A failed write or sync breaks the log: the session refuses later
+//! appends with [`Error::Store`] before applying them, until the log is
+//! recovered.
+//!
+//! Under the full-information protocol a process's state is its local
 //! history, so the log already is the session; a checkpoint carries only
 //! the derived state worth keeping — the event count, Protocol 2's
 //! progress (`first_known`, `σ_C`) and the warm-observer manifest — and
@@ -98,13 +104,12 @@
 //! `benches/store.rs` prices both paths and gates that checkpoint
 //! recovery never loses to full replay.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use zigzag_bcm::codec::{self, decode_event, encode_event, escape_token, unescape_token};
 use zigzag_bcm::stream::{RunEvent, StreamingRun};
@@ -118,6 +123,7 @@ use crate::error::Error;
 use crate::fault::{FaultPlan, LogFault};
 use crate::service::{SessionId, ZigzagService};
 use crate::session::{AppendReport, StreamSession};
+use crate::stats::StoreStats;
 
 /// Version header of the per-session event log.
 pub const LOG_HEADER: &str = "zigzag-log v1";
@@ -646,13 +652,7 @@ fn restore_at(log: &ParsedLog, ck: &Checkpoint) -> Option<StreamSession> {
         // Warmth is answer-invariant; the build result is not needed.
         let _ = engine.engine_mode(sigma, mode);
     }
-    let session = StreamSession::resume(
-        log.config.clone(),
-        engine,
-        ck.events,
-        ck.first_known,
-        ck.sigma_c,
-    );
+    let session = StreamSession::resume(log.config.clone(), engine, ck.first_known, ck.sigma_c);
     for (ev, _) in &log.events[base..] {
         session.append(ev).ok()?;
     }
@@ -683,17 +683,126 @@ fn replay_log(log: &ParsedLog) -> (StreamSession, usize) {
 }
 
 // ---------------------------------------------------------------------
-// The store.
+// The log writer a durable session owns.
 // ---------------------------------------------------------------------
 
-/// One durably-logged session's writer-side state.
-#[derive(Debug)]
-struct DurableSession {
-    name: String,
-    log: File,
-    /// Events in the log (drives the checkpoint cadence).
-    events: u64,
+/// `sync_all` with the fault plan's fsync site consulted first — the
+/// seam every durability-relevant sync goes through. `path` names the
+/// synced file in errors.
+fn sync(file: &File, path: &Path, faults: Option<&FaultPlan>) -> Result<(), Error> {
+    if faults.is_some_and(FaultPlan::on_fsync) {
+        return Err(Error::Store {
+            detail: format!("injected fsync failure on {}", path.display()),
+        });
+    }
+    file.sync_all().map_err(|e| io_err("syncing", path, e))
 }
+
+/// A durable session's log writer. It is owned by the [`StreamSession`]
+/// it logs for and sits behind that session's write lock, next to the
+/// engine: the session applies an event and writes its `ev` record (and
+/// the cadence's `ck` record) before it releases the lock, so log order
+/// is apply order.
+#[derive(Debug)]
+pub(crate) struct LogWriter {
+    /// The durable session's name (its log is `<name>.log`).
+    pub(crate) name: String,
+    path: PathBuf,
+    file: File,
+    config: StoreConfig,
+    faults: Option<Arc<FaultPlan>>,
+    /// The owning service's durability counters.
+    stats: Arc<StoreStats>,
+    /// Set by the first failed write or sync. The file may then end in a
+    /// torn record, so the session refuses every later append until the
+    /// log is recovered.
+    broken: bool,
+}
+
+impl LogWriter {
+    /// Refuses to log anything more once a write or sync has failed;
+    /// checked before every record, and by the session before it applies
+    /// an event.
+    pub(crate) fn ready(&self) -> Result<(), Error> {
+        if self.broken {
+            return Err(Error::Store {
+                detail: format!(
+                    "log {} is broken by an earlier failed write; recover it before appending",
+                    self.path.display()
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// Writes the `ev` record of the session's `events`-th event, synced
+    /// under [`FsyncPolicy::Always`], then the checkpoint record `ck`
+    /// builds if the cadence puts one there.
+    pub(crate) fn event(
+        &mut self,
+        ev: &RunEvent,
+        events: u64,
+        ck: impl FnOnce() -> Checkpoint,
+    ) -> Result<(), Error> {
+        let mut line = encode_event(ev);
+        line.push('\n');
+        self.record(&line, self.config.fsync == FsyncPolicy::Always)?;
+        self.stats.events_logged.fetch_add(1, Ordering::Relaxed);
+        match self.config.snapshot_every {
+            Some(every) if events.is_multiple_of(every) => self.checkpoint(&ck()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Writes a `ck` record, synced under any syncing policy.
+    pub(crate) fn checkpoint(&mut self, ck: &Checkpoint) -> Result<(), Error> {
+        self.record(
+            &checkpoint_line(ck),
+            self.config.fsync != FsyncPolicy::Never,
+        )?;
+        self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Appends one record (newline included) through the fault plan's
+    /// log-write site, bills its bytes and syncs if asked. Any failure
+    /// marks the log broken.
+    fn record(&mut self, record: &str, then_sync: bool) -> Result<(), Error> {
+        let out = self.write(record, then_sync);
+        self.broken |= out.is_err();
+        out
+    }
+
+    fn write(&mut self, record: &str, then_sync: bool) -> Result<(), Error> {
+        self.ready()?;
+        let faults = self.faults.as_deref();
+        if let Some(LogFault::Torn(cut)) = faults.map(|plan| plan.on_log_write(record.len())) {
+            // A torn write: a strict prefix of the record reaches the file.
+            let _ = self.file.write_all(&record.as_bytes()[..cut]);
+            return Err(Error::Store {
+                detail: format!(
+                    "injected torn write ({cut}/{} bytes) on {}",
+                    record.len(),
+                    self.path.display()
+                ),
+            });
+        }
+        self.file
+            .write_all(record.as_bytes())
+            .map_err(|e| io_err("appending to log", &self.path, e))?;
+        self.stats
+            .bytes_written
+            .fetch_add(record.len() as u64, Ordering::Relaxed);
+        if then_sync {
+            sync(&self.file, &self.path, faults)?;
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// The store.
+// ---------------------------------------------------------------------
 
 /// What [`SessionStore::recover`] rebuilt; see the [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -711,17 +820,17 @@ pub struct Recovered {
     pub truncated: bool,
 }
 
-/// The per-session durable store; see the [module docs](self).
+/// The durable store; see the [module docs](self).
 ///
-/// A store manages a directory of `<name>.log` files and the set of open
-/// sessions it is logging for. It is bound to no particular service:
-/// every operation takes the [`ZigzagService`] whose session table it
-/// should act on (and whose [`ZigzagService::store_stats`] it bills).
+/// A store is a directory of `<name>.log` files plus the policy and fault
+/// plan every log writer it creates inherits. It keeps no per-session
+/// state: each durable session owns its writer, and every operation
+/// takes the [`ZigzagService`] whose sessions it acts on (and whose
+/// [`ZigzagService::store_stats`] it bills).
 #[derive(Debug)]
 pub struct SessionStore {
     root: PathBuf,
     config: StoreConfig,
-    open: Mutex<HashMap<u64, DurableSession>>,
     /// Deterministic chaos hook ([`crate::FaultPlan`]); `None` (the
     /// default) is a single never-taken branch on every write seam.
     faults: Option<Arc<FaultPlan>>,
@@ -739,7 +848,6 @@ impl SessionStore {
         Ok(SessionStore {
             root,
             config,
-            open: Mutex::new(HashMap::new()),
             faults: None,
         })
     }
@@ -751,11 +859,6 @@ impl SessionStore {
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
         self
-    }
-
-    /// Whether `id` is a durable session managed by this store.
-    pub fn manages(&self, id: SessionId) -> bool {
-        self.lock().contains_key(&id.raw())
     }
 
     /// The store's root directory.
@@ -773,76 +876,31 @@ impl SessionStore {
         self.root.join(format!("{name}.log"))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, DurableSession>> {
-        self.open.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Syncs session `name`'s log through [`SessionStore::sync`].
-    fn sync_file(&self, file: &File, name: &str) -> Result<(), Error> {
-        self.sync(file, || self.log_path(name))
-    }
-
-    /// Syncs the store directory itself through [`SessionStore::sync`],
-    /// making the entries of newly created logs durable.
+    /// Syncs the store directory itself, making the entries of newly
+    /// created logs durable.
     fn sync_root(&self) -> Result<(), Error> {
         let dir = File::open(&self.root).map_err(|e| io_err("opening", &self.root, e))?;
-        self.sync(&dir, || self.root.clone())
+        sync(&dir, &self.root, self.faults.as_deref())
     }
 
-    /// `sync_all` with the fault plan's fsync site consulted first — the
-    /// seam every durability-relevant sync in this store goes through.
-    /// `path` names the synced file in errors.
-    fn sync(&self, file: &File, path: impl Fn() -> PathBuf) -> Result<(), Error> {
-        if let Some(plan) = &self.faults {
-            if plan.on_fsync() {
-                return Err(Error::Store {
-                    detail: format!("injected fsync failure on {}", path().display()),
-                });
-            }
+    /// A writer for log `name`, billing `service`.
+    fn writer(&self, service: &ZigzagService, name: &str, path: PathBuf, file: File) -> LogWriter {
+        LogWriter {
+            name: name.to_string(),
+            path,
+            file,
+            config: self.config,
+            faults: self.faults.clone(),
+            stats: service.shared_store_stats(),
+            broken: false,
         }
-        file.sync_all().map_err(|e| io_err("syncing", &path(), e))
-    }
-
-    /// Appends one record (newline included) to a session log through the
-    /// fault plan's log-write site, billing its bytes.
-    fn write_record(
-        &self,
-        service: &ZigzagService,
-        st: &mut DurableSession,
-        record: &str,
-    ) -> Result<(), Error> {
-        if let Some(plan) = &self.faults {
-            if let LogFault::Torn(cut) = plan.on_log_write(record.len()) {
-                // A torn write: a strict prefix of the record reaches the
-                // file, then the append fails. Recovery truncates the torn
-                // record away; until then the in-memory session may be
-                // ahead of the log, which is why store errors are fatal
-                // for the session.
-                let _ = st.log.write_all(&record.as_bytes()[..cut]);
-                return Err(Error::Store {
-                    detail: format!(
-                        "injected torn write ({cut}/{} bytes) on {}",
-                        record.len(),
-                        self.log_path(&st.name).display()
-                    ),
-                });
-            }
-        }
-        st.log
-            .write_all(record.as_bytes())
-            .map_err(|e| io_err("appending to log", &self.log_path(&st.name), e))?;
-        service
-            .store_stats()
-            .bytes_written
-            .fetch_add(record.len() as u64, Ordering::Relaxed);
-        Ok(())
     }
 
     /// Opens a **durable** stream session: a fresh session on `service`
-    /// plus a fresh event log seeded with the session's header (config +
-    /// embedded skeleton run). Fails if a log for `name` already exists —
-    /// recover or delete it explicitly instead of silently clobbering
-    /// history.
+    /// that owns a fresh event log seeded with the session's header
+    /// (config + embedded skeleton run). Fails if a log for `name`
+    /// already exists — recover or delete it explicitly instead of
+    /// silently clobbering history.
     ///
     /// # Errors
     ///
@@ -857,18 +915,19 @@ impl SessionStore {
         config: SessionConfig,
     ) -> Result<SessionId, Error> {
         validate_name(name)?;
+        let _attaching = service.attaching();
         let path = self.log_path(name);
-        let mut log = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .write(true)
             .create_new(true)
             .open(&path)
             .map_err(|e| io_err("creating log", &path, e))?;
 
         let header = header_text(&config, context.clone(), horizon);
-        log.write_all(header.as_bytes())
+        file.write_all(header.as_bytes())
             .map_err(|e| io_err("writing log header", &path, e))?;
         if self.config.fsync == FsyncPolicy::Always {
-            self.sync_file(&log, name)?;
+            sync(&file, &path, self.faults.as_deref())?;
             self.sync_root()?;
         }
         service
@@ -876,94 +935,40 @@ impl SessionStore {
             .bytes_written
             .fetch_add(header.len() as u64, Ordering::Relaxed);
 
-        let id = service.open_stream(context, horizon, config);
-        self.lock().insert(
-            id.raw(),
-            DurableSession {
-                name: name.to_string(),
-                log,
-                events: 0,
-            },
-        );
-        Ok(id)
+        let writer = self.writer(service, name, path, file);
+        Ok(service.install(StreamSession::new(context, horizon, config).logging_to(writer)))
     }
 
-    /// Appends one event durably: through the service's normal append
-    /// path first (so an inconsistent event is rejected before any byte
-    /// is written), then as one log record, then — every
-    /// [`StoreConfig::snapshot_every`] appends — a checkpoint record.
+    /// Appends one event to a durable session through
+    /// [`ZigzagService::append`], which logs it.
     ///
     /// # Errors
     ///
-    /// Propagates the session's append error, or fails with
-    /// [`Error::Store`] if `id` is not store-managed or the write fails
-    /// (after which the in-memory session may be ahead of the log; treat
-    /// store errors as fatal for the session).
+    /// Fails with [`Error::Store`] before applying anything if `id` has no
+    /// log; otherwise as [`ZigzagService::append`] does.
     pub fn append(
         &self,
         service: &ZigzagService,
         id: SessionId,
         ev: &RunEvent,
     ) -> Result<AppendReport, Error> {
-        let report = service.append(id, ev)?;
-        let mut open = self.lock();
-        let st = open.get_mut(&id.raw()).ok_or_else(|| Error::Store {
-            detail: format!("session {id} is not managed by this store"),
-        })?;
-        let mut line = encode_event(ev);
-        line.push('\n');
-        self.write_record(service, st, &line)?;
-        if self.config.fsync == FsyncPolicy::Always {
-            self.sync_file(&st.log, &st.name)?;
+        if service.live(id)?.log_name().is_none() {
+            return Err(Error::Store {
+                detail: format!("session {id} is not durable: it has no log"),
+            });
         }
-        st.events += 1;
-        service
-            .store_stats()
-            .events_logged
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(every) = self.config.snapshot_every {
-            if st.events.is_multiple_of(every) {
-                self.write_checkpoint(service, id, st)?;
-            }
-        }
-        Ok(report)
+        service.append(id, ev)
     }
 
-    /// Appends a checkpoint record for session `id` right now,
+    /// Appends a checkpoint record for durable session `id` right now,
     /// regardless of cadence.
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::Store`] if `id` is not store-managed or on
-    /// file-system errors, or if the session is poisoned.
+    /// Fails with [`Error::Store`] if `id` has no log, its log is broken,
+    /// or the write fails.
     pub fn checkpoint(&self, service: &ZigzagService, id: SessionId) -> Result<(), Error> {
-        let mut open = self.lock();
-        let st = open.get_mut(&id.raw()).ok_or_else(|| Error::Store {
-            detail: format!("session {id} is not managed by this store"),
-        })?;
-        self.write_checkpoint(service, id, st)
-    }
-
-    /// Checkpoint write shared by the cadence path and the explicit API:
-    /// one record, then a sync under any syncing policy.
-    fn write_checkpoint(
-        &self,
-        service: &ZigzagService,
-        id: SessionId,
-        st: &mut DurableSession,
-    ) -> Result<(), Error> {
-        let line = service
-            .live(id)?
-            .with_checkpoint(|_, ck| checkpoint_line(&ck))?;
-        self.write_record(service, st, &line)?;
-        if self.config.fsync != FsyncPolicy::Never {
-            self.sync_file(&st.log, &st.name)?;
-        }
-        service
-            .store_stats()
-            .snapshots
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        service.live(id)?.checkpoint()
     }
 
     /// Recovers durable session `name` into a fresh session of
@@ -972,16 +977,28 @@ impl SessionStore {
     /// last checkpoint that holds and replay the tail, or replay the
     /// whole log. A torn or corrupt log tail is dropped — the file is
     /// truncated back to the longest prefix of records that parse *and*
-    /// replay — and appending may resume through
-    /// [`SessionStore::append`].
+    /// replay — and the recovered session writes the log from there on.
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::Store`] if the log is missing or its header
-    /// (through the embedded skeleton run) is unreadable — without a
-    /// context there is no last-good state to recover to.
+    /// Fails with [`Error::Store`] if a live session of `service` still
+    /// writes the log, if the log is missing, or if its header (through
+    /// the embedded skeleton run) is unreadable — without a context there
+    /// is no last-good state to recover to.
     pub fn recover(&self, service: &ZigzagService, name: &str) -> Result<Recovered, Error> {
         validate_name(name)?;
+        let _attaching = service.attaching();
+        if service.attached_logs().contains(name) {
+            return Err(Error::Store {
+                detail: format!("log {name} is still written by a live session of this service"),
+            });
+        }
+        self.attach(service, name)
+    }
+
+    /// [`SessionStore::recover`] once the attach lock is held and `name`
+    /// is known to have no writer in `service`.
+    fn attach(&self, service: &ZigzagService, name: &str) -> Result<Recovered, Error> {
         let log_path = self.log_path(name);
         let bytes = fs::read(&log_path).map_err(|e| io_err("reading log", &log_path, e))?;
         let parsed = parse_log(&bytes)?;
@@ -996,26 +1013,19 @@ impl SessionStore {
             n => parsed.events[n - 1].1,
         };
         let truncated = good_len < bytes.len() as u64;
-        let mut log = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .write(true)
             .open(&log_path)
             .map_err(|e| io_err("reopening log", &log_path, e))?;
         if truncated {
-            log.set_len(good_len)
+            file.set_len(good_len)
                 .map_err(|e| io_err("truncating log", &log_path, e))?;
         }
-        log.seek(SeekFrom::End(0))
+        file.seek(SeekFrom::End(0))
             .map_err(|e| io_err("seeking log", &log_path, e))?;
 
-        let id = service.install(session);
-        self.lock().insert(
-            id.raw(),
-            DurableSession {
-                name: name.to_string(),
-                log,
-                events: applied as u64,
-            },
-        );
+        let writer = self.writer(service, name, log_path, file);
+        let id = service.install(session.logging_to(writer));
         service
             .store_stats()
             .recoveries
@@ -1029,16 +1039,11 @@ impl SessionStore {
         })
     }
 
-    /// Stops logging for session `id` (the log is kept; the session stays
-    /// open on its service). Returns whether the session was managed.
-    pub fn detach(&self, id: SessionId) -> bool {
-        self.lock().remove(&id.raw()).is_some()
-    }
-
-    /// Recovers every `<name>.log` in the store directory that is not
-    /// already attached to an open durable session — the supervisor's
-    /// startup sweep and the implementation of [`crate::Query::Recover`].
-    /// Returns the recovered sessions sorted by name.
+    /// Recovers every `<name>.log` in the store directory that no live
+    /// session of `service` is writing — the supervisor's startup sweep
+    /// and the implementation of [`crate::Query::Recover`]. A closed
+    /// durable session's log is reattached here. Returns the recovered
+    /// sessions sorted by name.
     ///
     /// # Errors
     ///
@@ -1046,28 +1051,22 @@ impl SessionStore {
     /// any individual recovery fails (already-recovered sessions stay
     /// attached).
     pub fn recover_all(&self, service: &ZigzagService) -> Result<Vec<(String, Recovered)>, Error> {
-        let attached: std::collections::HashSet<String> =
-            self.lock().values().map(|d| d.name.clone()).collect();
-        let mut names = Vec::new();
-        let entries =
-            fs::read_dir(&self.root).map_err(|e| io_err("listing store root", &self.root, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err("listing store root", &self.root, e))?;
-            let fname = entry.file_name();
-            let Some(stem) = fname.to_str().and_then(|f| f.strip_suffix(".log")) else {
-                continue;
-            };
-            if validate_name(stem).is_ok() && !attached.contains(stem) {
-                names.push(stem.to_string());
-            }
-        }
+        let _attaching = service.attaching();
+        let attached = service.attached_logs();
+        let entries = fs::read_dir(&self.root)
+            .and_then(|dir| dir.collect::<Result<Vec<_>, _>>())
+            .map_err(|e| io_err("listing store root", &self.root, e))?;
+        let mut names: Vec<String> = entries
+            .iter()
+            .filter_map(|entry| entry.file_name().into_string().ok())
+            .filter_map(|file| Some(file.strip_suffix(".log")?.to_string()))
+            .filter(|stem| validate_name(stem).is_ok() && !attached.contains(stem))
+            .collect();
         names.sort();
-        let mut out = Vec::with_capacity(names.len());
-        for name in names {
-            let rec = self.recover(service, &name)?;
-            out.push((name, rec));
-        }
-        Ok(out)
+        names
+            .into_iter()
+            .map(|name| Ok((name.clone(), self.attach(service, &name)?)))
+            .collect()
     }
 }
 

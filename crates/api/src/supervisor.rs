@@ -8,29 +8,25 @@
 //! reattach each log. The supervisor closes that gap:
 //!
 //! * **On startup** ([`SessionSupervisor::bind`]) every `<name>.log` in
-//!   the store directory — the one durable document a session has — is
-//!   recovered and reattached automatically.
+//!   the store directory — the one durable document a session has — that
+//!   no live session of the service writes is recovered and reattached.
 //! * **On demand** a [`crate::Query::Recover`] frame — over a socket or
-//!   in-process — triggers the same sweep and answers which sessions it
+//!   in-process — triggers the same sweep (reattaching the logs of
+//!   durable sessions closed since) and answers which sessions it
 //!   attached, so a fleet controller can drive recovery remotely.
-//! * **Durable wire appends**: while the supervisor is attached, a
-//!   [`crate::Query::Append`] on a store-managed session routes through
-//!   [`SessionStore::append`] (log + fsync + checkpoint cadence) instead of
-//!   the plain in-memory path, so socket clients get exactly the
-//!   durability in-process callers get.
+//! * **Durable wire appends** need no supervisor: a durable session logs
+//!   a [`crate::Query::Append`] itself, through the same
+//!   [`ZigzagService::append`] in-process callers use.
 //!
 //! Ownership is deliberately one-way: the supervisor holds `Arc`s to the
 //! service and store; the service holds only a [`std::sync::Weak`] hook
 //! back. Dropping the supervisor detaches the hook — no reference cycle,
 //! and a service can outlive (or never have) its supervisor.
 
-use std::sync::{Arc, Weak};
-
-use zigzag_bcm::stream::RunEvent;
+use std::sync::Arc;
 
 use crate::error::Error;
-use crate::service::{SessionId, Supervise, ZigzagService};
-use crate::session::AppendReport;
+use crate::service::ZigzagService;
 use crate::store::{Recovered, SessionStore};
 
 /// What a recovery sweep reattached: `(name, recovery report)` pairs,
@@ -46,10 +42,10 @@ pub struct SessionSupervisor {
 }
 
 impl SessionSupervisor {
-    /// Binds `store` to `service`, registers the durable-routing hook,
-    /// and runs the startup recovery sweep: every unattached log in the
-    /// store directory is recovered and reattached. Returns the
-    /// supervisor and what the sweep recovered (sorted by name).
+    /// Binds `store` to `service`, registers the recovery hook, and runs
+    /// the startup recovery sweep: every unattached log in the store
+    /// directory is recovered and reattached. Returns the supervisor and
+    /// what the sweep recovered (sorted by name).
     ///
     /// # Errors
     ///
@@ -62,14 +58,8 @@ impl SessionSupervisor {
     ) -> Result<(Arc<Self>, RecoverySweep), Error> {
         let recovered = store.recover_all(&service)?;
         let sup = Arc::new(SessionSupervisor { service, store });
-        let hook: Weak<SessionSupervisor> = Arc::downgrade(&sup);
-        sup.service.set_supervisor(hook);
+        sup.service.set_supervisor(Arc::downgrade(&sup));
         Ok((sup, recovered))
-    }
-
-    /// The supervised service.
-    pub fn service(&self) -> &Arc<ZigzagService> {
-        &self.service
     }
 
     /// The supervised store.
@@ -85,30 +75,6 @@ impl SessionSupervisor {
     /// Fails with [`Error::Store`] if listing or any recovery fails.
     pub fn recover_now(&self) -> Result<RecoverySweep, Error> {
         self.store.recover_all(&self.service)
-    }
-}
-
-impl Supervise for SessionSupervisor {
-    fn durable_append(
-        &self,
-        service: &ZigzagService,
-        id: SessionId,
-        ev: &RunEvent,
-    ) -> Option<Result<AppendReport, Error>> {
-        if self.store.manages(id) {
-            Some(self.store.append(service, id, ev))
-        } else {
-            None
-        }
-    }
-
-    fn recover_all(&self, service: &ZigzagService) -> Result<Vec<(String, SessionId)>, Error> {
-        Ok(self
-            .store
-            .recover_all(service)?
-            .into_iter()
-            .map(|(name, rec)| (name, rec.id))
-            .collect())
     }
 }
 
@@ -190,8 +156,7 @@ mod tests {
             );
         }
 
-        // The hook is live: a wire-level EventCount/Append route through
-        // the durable store.
+        // A wire-level EventCount reaches the recovered session.
         let id = recovered[0].1.id;
         let Response::EventCount(n) = service.dispatch(id, &Query::EventCount).unwrap() else {
             panic!("wrong response variant");
@@ -259,7 +224,7 @@ mod tests {
 
         // The appends hit the log: a fresh service recovers all of them.
         drop(_sup);
-        store.detach(id);
+        service.close(id).unwrap();
         let fresh = ZigzagService::new();
         let rec = store.recover(&fresh, "gamma").unwrap();
         assert_eq!(

@@ -7,7 +7,9 @@
 //! checkpoint is restored in bulk, and the log tail replays through the
 //! normal append path.
 //! The recovered session's probe answers are asserted byte-identical to
-//! a session that never crashed.
+//! a session that never crashed. Recovery goes through a
+//! `SessionSupervisor`'s startup sweep; the recovered session is then
+//! closed and reattached to its log by a `Query::Recover` query.
 //!
 //! The second act moves the recovered session between two *live*
 //! processes: two `NetServer`s on Unix sockets, a `Query::Export` frame
@@ -28,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     use zigzag::api::net::{read_envelope, write_envelope, NetConfig, NetServer};
     use zigzag::api::{
-        serve, wire, Query, Response, SessionConfig, SessionId, SessionStore, StoreConfig,
-        ZigzagService,
+        serve, wire, Query, Response, SessionConfig, SessionId, SessionStore, SessionSupervisor,
+        StoreConfig, ZigzagService,
     };
     use zigzag::bcm::protocols::Ffip;
     use zigzag::bcm::scheduler::RandomScheduler;
@@ -52,14 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sim.external(Time::new(t), c, format!("tick-{i}"));
     }
     let run = sim.run(&mut Ffip::new(), &mut RandomScheduler::seeded(1))?;
-    let events: Vec<_> = {
-        let mut cursor = RunCursor::new(&run);
-        let mut events = Vec::new();
-        while let Some(ev) = cursor.next_event() {
-            events.push(ev);
-        }
-        events
-    };
+    let events: Vec<_> = RunCursor::new(&run).collect();
 
     // The probe both acts re-ask: how far apart can A's and B's views of
     // the same "go" signal drift?
@@ -110,9 +105,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         log.write_all(b"ev d 1 tor")?; // no newline: a torn record
     }
 
-    let store = SessionStore::open(&root, StoreConfig::new())?;
+    let store = Arc::new(SessionStore::open(&root, StoreConfig::new())?);
     let service = Arc::new(ZigzagService::sharded(4));
-    let rec = store.recover(&service, "flight")?;
+    let (_supervisor, swept) = SessionSupervisor::bind(Arc::clone(&service), store)?;
+    let rec = swept[0].1;
     println!(
         "recovered: checkpoint={} restored={} replayed={} torn-tail-dropped={}",
         rec.from_checkpoint, rec.restored_events, rec.replayed_events, rec.truncated
@@ -121,6 +117,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let answer = service.dispatch(rec.id, &probe)?;
     assert_eq!(answer, reference, "recovery changed an answer");
     println!("probe after recovery matches the uncrashed session: {answer:?}");
+
+    // A closed durable session stops writing its log; the next sweep
+    // reattaches it under a new handle.
+    service.close(rec.id)?;
+    let Response::Recovered(list) = service.dispatch(rec.id, &Query::Recover)? else {
+        panic!("recover answered without a session list");
+    };
+    assert_eq!(list.len(), 1, "the sweep reattaches the closed session");
+    let id = list[0].1;
+    assert_eq!(service.dispatch(id, &probe)?, reference);
+    println!("closed {} and reattached {:?} as {id}", rec.id, list[0].0);
 
     // ── Act 2: migrate the recovered session between live servers ──
     let sock = |tag: &str| {
@@ -142,7 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut conn_b = UnixStream::connect(&path_b)?;
 
     // Export from A: the session becomes one self-contained document.
-    write_envelope(&mut conn_a, &serve::encode_frame(rec.id, &Query::Export))?;
+    write_envelope(&mut conn_a, &serve::encode_frame(id, &Query::Export))?;
     let doc = read_envelope(&mut conn_a, 1 << 22)?.expect("server A closed early");
     let Response::Exported(log) = wire::decode_response(&doc)? else {
         panic!("export answered with a non-log document");
@@ -160,7 +167,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // The same probe against both servers: byte-identical envelopes.
-    write_envelope(&mut conn_a, &serve::encode_frame(rec.id, &probe))?;
+    write_envelope(&mut conn_a, &serve::encode_frame(id, &probe))?;
     write_envelope(&mut conn_b, &serve::encode_frame(moved, &probe))?;
     let doc_a = read_envelope(&mut conn_a, 1 << 22)?.expect("server A closed early");
     let doc_b = read_envelope(&mut conn_b, 1 << 22)?.expect("server B closed early");
