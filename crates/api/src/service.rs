@@ -63,14 +63,17 @@ struct Shard {
 }
 
 impl Shard {
+    /// The shard's table. Table locks guard pure HashMap operations that
+    /// cannot be interrupted by a panic mid-mutation, so a poisoned lock
+    /// (left by a panic elsewhere while the lock was held on that stack)
+    /// is recovered rather than cascaded into every later caller.
+    fn table(&self) -> MutexGuard<'_, HashMap<u64, Arc<StreamSession>>> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The shard's sessions, with its lock held only to copy the list.
     fn snapshot(&self) -> Vec<Arc<StreamSession>> {
-        self.sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .cloned()
-            .collect()
+        self.table().values().cloned().collect()
     }
 }
 
@@ -199,8 +202,7 @@ impl ZigzagService {
     ///
     /// Fails on unknown or sealed sessions, or if the session is poisoned.
     pub fn export(&self, id: SessionId) -> Result<SessionLog, Error> {
-        let s = self.live(id)?;
-        let log = s.with_checkpoint(|run, ck| SessionLog::write(s.config(), run, &ck))?;
+        let log = self.live(id)?.export()?;
         self.metrics
             .store
             .migrations
@@ -237,26 +239,18 @@ impl ZigzagService {
     /// Installs an already-built session (the store's open and recovery
     /// paths install durable ones).
     pub(crate) fn install(&self, session: StreamSession) -> SessionId {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        // Table locks guard pure HashMap operations that cannot be
-        // interrupted by a panic mid-mutation, so a poisoned lock (left
-        // by a panic elsewhere while the lock was held on that stack) is
-        // recovered rather than cascaded into every later caller.
-        self.shards[(id % self.shards.len() as u64) as usize]
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(id, Arc::new(session));
-        SessionId(id)
+        let id = SessionId(self.next.fetch_add(1, Ordering::Relaxed));
+        self.shards[self.shard_of(id)]
+            .table()
+            .insert(id.0, Arc::new(session));
+        id
     }
 
     /// Resolves a handle to its session, holding only the owning shard's
     /// lock, and only for the lookup.
     pub(crate) fn session(&self, id: SessionId) -> Result<Arc<StreamSession>, Error> {
         self.shards[self.shard_of(id)]
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+            .table()
             .get(&id.0)
             .cloned()
             .ok_or(Error::UnknownSession { id })
@@ -484,29 +478,27 @@ impl ZigzagService {
 
     /// Number of open sessions (summed across shards).
     pub fn session_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.sessions
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
+        self.shards.iter().map(|s| s.table().len()).sum()
     }
 
-    /// Closes a session, releasing its state.
+    /// Closes a session, releasing its state. A durable session's log
+    /// writer is retired: an append in flight finishes before `close`
+    /// returns and later ones are refused, so the next recovery can
+    /// reattach the log as its only writer.
     ///
     /// # Errors
     ///
     /// Fails on unknown sessions.
     pub fn close(&self, id: SessionId) -> Result<(), Error> {
-        self.shards[self.shard_of(id)]
-            .sessions
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        // Under the attach lock, a recovery sees a durable session either
+        // in the table or with its log writer retired, never a second
+        // writer on its log.
+        let _attaching = self.attaching();
+        let session = self.shards[self.shard_of(id)]
+            .table()
             .remove(&id.0)
-            .map(|_| ())
-            .ok_or(Error::UnknownSession { id })
+            .ok_or(Error::UnknownSession { id })?;
+        session.close_log();
+        Ok(())
     }
 }

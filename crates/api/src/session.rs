@@ -38,7 +38,7 @@ use zigzag_core::incremental::IncrementalEngine;
 use crate::config::SessionConfig;
 use crate::error::Error;
 use crate::query::{CoordReport, FastRunReport, Query, Response, WitnessReport};
-use crate::store::{Checkpoint, LogWriter};
+use crate::store::{Checkpoint, LogWriter, SessionLog};
 
 /// What one appended event meant for a stream session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,20 +294,32 @@ impl StreamSession {
         log.checkpoint(&inner.checkpoint())
     }
 
-    /// Runs `f` over the grown run and a [`Checkpoint`] of the session's
-    /// derived state — event count, coordination progress, warm-observer
-    /// manifest — all read under **one** read-lock acquisition, so they
-    /// are mutually consistent even under concurrent appends.
+    /// The session as a portable [`SessionLog`]: the grown run and a
+    /// [`Checkpoint`] of its derived state — event count, coordination
+    /// progress, warm-observer manifest — read under **one** read lock,
+    /// so they agree even under concurrent appends.
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::Internal`] if the session is poisoned.
-    pub(crate) fn with_checkpoint<T>(
-        &self,
-        f: impl FnOnce(&Run, Checkpoint) -> T,
-    ) -> Result<T, Error> {
+    /// Fails as [`StreamSession::with_engine`] does.
+    pub(crate) fn export(&self) -> Result<SessionLog, Error> {
         let state = self.read()?;
-        Ok(f(state.inner.engine().run(), state.inner.checkpoint()))
+        let ck = state.inner.checkpoint();
+        Ok(SessionLog::write(
+            &self.config,
+            state.inner.engine().run(),
+            &ck,
+        ))
+    }
+
+    /// Retires a durable session's log writer once the session has left
+    /// its service's table: the write lock waits for an append in flight,
+    /// and a stale handle's later appends and checkpoints are refused.
+    pub(crate) fn close_log(&self) {
+        let mut state = self.state.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(log) = state.log.as_mut() {
+            log.closed = true;
+        }
     }
 
     /// A poisoned session lock is *not* recovered: only the write side
@@ -315,9 +327,12 @@ impl StreamSession {
     /// panicked mid-step may have left the engine's incremental state
     /// half-updated. Refusing with a typed error (instead of cascading
     /// the panic into every later caller) keeps the server alive while
-    /// quarantining the session.
+    /// quarantining the session. A broken log is refused the same way:
+    /// the session may hold an event that recovery will not restore.
     fn read(&self) -> Result<RwLockReadGuard<'_, State>, Error> {
-        self.state.read().map_err(|_| poisoned())
+        let state = self.state.read().map_err(|_| poisoned())?;
+        state.log.as_ref().map_or(Ok(()), |log| log.check(false))?;
+        Ok(state)
     }
 
     /// Runs `f` over the underlying incremental engine (shared read
@@ -326,7 +341,8 @@ impl StreamSession {
     /// # Errors
     ///
     /// Fails with [`Error::Internal`] if an earlier append panicked
-    /// mid-step and poisoned the session.
+    /// mid-step and poisoned the session, and with [`Error::Store`] if a
+    /// durable session's log is broken.
     pub fn with_engine<T>(&self, f: impl FnOnce(&IncrementalEngine) -> T) -> Result<T, Error> {
         Ok(f(self.read()?.inner.engine()))
     }
@@ -337,7 +353,7 @@ impl StreamSession {
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::Internal`] if the session is poisoned.
+    /// Fails as [`StreamSession::with_engine`] does.
     pub fn with_run<T>(&self, f: impl FnOnce(&Run) -> T) -> Result<T, Error> {
         self.with_engine(|engine| f(engine.run()))
     }
@@ -347,21 +363,21 @@ impl StreamSession {
     ///
     /// # Errors
     ///
-    /// Fails with [`Error::Internal`] if the session is poisoned.
+    /// Fails as [`StreamSession::with_engine`] does.
     pub fn event_count(&self) -> Result<usize, Error> {
         self.with_engine(IncrementalEngine::event_count)
     }
 
-    /// Number of observer states currently held warm. A poisoned session
-    /// reports 0 — its cache is unreachable and will never be served
-    /// from again.
+    /// Number of observer states currently held warm. A poisoned or
+    /// broken session reports 0 — its cache is unreachable and will
+    /// never be served from again.
     pub fn observer_count(&self) -> usize {
         self.with_engine(IncrementalEngine::observer_count)
             .unwrap_or(0)
     }
 
     /// The session's observer-cache `(hits, misses, evictions)` totals;
-    /// a poisoned session reports zeros.
+    /// a poisoned or broken session reports zeros.
     pub(crate) fn cache_counters(&self) -> (u64, u64, u64) {
         self.with_engine(IncrementalEngine::observer_cache_counters)
             .unwrap_or((0, 0, 0))
@@ -385,9 +401,7 @@ impl StreamSession {
     pub fn append(&self, ev: &RunEvent) -> Result<AppendReport, Error> {
         let mut state = self.state.write().map_err(|_| poisoned())?;
         let State { inner, log } = &mut *state;
-        if let Some(log) = log.as_ref() {
-            log.ready()?;
-        }
+        log.as_ref().map_or(Ok(()), |log| log.check(true))?;
         let (node, time, b_knows) = match inner {
             StreamInner::Plain(engine) => (engine.append_event(ev)?, ev.time, None),
             StreamInner::Coord(driver) => {
@@ -417,7 +431,9 @@ impl StreamSession {
     ///
     /// # Errors
     ///
-    /// Propagates the underlying engine error for the failing query.
+    /// Propagates the underlying engine error for the failing query;
+    /// fails as [`StreamSession::with_engine`] does on a poisoned or
+    /// broken session.
     pub fn dispatch(&self, query: &Query) -> Result<Response, Error> {
         dispatch_on(&self.read()?.inner, query)
     }

@@ -8,9 +8,12 @@
 //! the event is applied — so log order is apply order, and a query on
 //! that session waits for the write — and every
 //! [`StoreConfig::snapshot_every`] appends a *checkpoint* record follows
-//! it. A failed write or sync breaks the log: the session refuses later
-//! appends with [`Error::Store`] before applying them, until the log is
-//! recovered.
+//! it. A failed write or sync breaks the log: the session may then hold
+//! an event its log lacks, so it refuses later appends (before applying
+//! them) and reads with [`Error::Store`] until the log is recovered.
+//! [`ZigzagService::close`] retires a durable session's writer, so a
+//! caller still holding the closed session writes nothing more and the
+//! next recovery can reattach the log.
 //!
 //! Under the full-information protocol a process's state is its local
 //! history, so the log already is the session; a checkpoint carries only
@@ -433,12 +436,7 @@ impl<'a> Doc<'a> {
     }
 }
 
-fn parse_u64(doc_line: usize, t: &str, what: &str) -> Result<u64, Error> {
-    t.parse()
-        .map_err(|_| bad(doc_line, format!("bad {what} {t:?}")))
-}
-
-fn parse_i64(doc_line: usize, t: &str, what: &str) -> Result<i64, Error> {
+fn parse_num<T: std::str::FromStr>(doc_line: usize, t: &str, what: &str) -> Result<T, Error> {
     t.parse()
         .map_err(|_| bad(doc_line, format!("bad {what} {t:?}")))
 }
@@ -447,7 +445,7 @@ fn parse_opt_u64(doc_line: usize, t: &str, what: &str) -> Result<Option<u64>, Er
     if t == "." {
         Ok(None)
     } else {
-        parse_u64(doc_line, t, what).map(Some)
+        parse_num(doc_line, t, what).map(Some)
     }
 }
 
@@ -475,7 +473,7 @@ fn parse_config_lines(doc: &mut Doc<'_>) -> Result<SessionConfig, Error> {
     let spec = match toks.as_slice() {
         ["spec", "."] => None,
         ["spec", kind @ ("early" | "late"), x, rest @ ..] => {
-            let x = parse_i64(doc.no, x, "separation")?;
+            let x = parse_num(doc.no, x, "separation")?;
             let kind = if *kind == "early" {
                 CoordKind::Early { x }
             } else {
@@ -485,8 +483,8 @@ fn parse_config_lines(doc: &mut Doc<'_>) -> Result<SessionConfig, Error> {
         }
         ["spec", "window", after, within, rest @ ..] => {
             let kind = CoordKind::Window {
-                after: parse_i64(doc.no, after, "separation")?,
-                within: parse_i64(doc.no, within, "separation")?,
+                after: parse_num(doc.no, after, "separation")?,
+                within: parse_num(doc.no, within, "separation")?,
             };
             Some(parse_spec_tail(doc.no, kind, rest)?)
         }
@@ -505,7 +503,7 @@ fn parse_spec_tail(
         return Err(bad(doc_line, "spec line needs a b c and three names"));
     };
     let proc = |t: &str| -> Result<ProcessId, Error> {
-        Ok(ProcessId::new(parse_u64(doc_line, t, "process")? as u32))
+        Ok(ProcessId::new(parse_num(doc_line, t, "process")?))
     };
     let name = |t: &str| -> Result<String, Error> {
         unescape_token(t).map_err(|e| bad(doc_line, e.to_string()))
@@ -523,7 +521,7 @@ fn parse_run_lines(doc: &mut Doc<'_>) -> Result<Run, Error> {
     let n = line
         .strip_prefix("run ")
         .ok_or_else(|| bad(doc.no, format!("expected run count line, got {line:?}")))
-        .and_then(|t| parse_u64(doc.no, t.trim(), "run line count"))? as usize;
+        .and_then(|t| parse_num::<usize>(doc.no, t.trim(), "run line count"))?;
     if n > doc.remaining() {
         return Err(bad(
             doc.no,
@@ -713,26 +711,27 @@ pub(crate) struct LogWriter {
     faults: Option<Arc<FaultPlan>>,
     /// The owning service's durability counters.
     stats: Arc<StoreStats>,
-    /// Set by the first failed write or sync. The file may then end in a
-    /// torn record, so the session refuses every later append until the
-    /// log is recovered.
+    /// Set by the first failed write or sync: the file may end in a torn
+    /// record and the session may hold an event its log lacks.
     broken: bool,
+    /// Set when the session is closed: another session may write the log.
+    pub(crate) closed: bool,
 }
 
 impl LogWriter {
-    /// Refuses to log anything more once a write or sync has failed;
-    /// checked before every record, and by the session before it applies
-    /// an event.
-    pub(crate) fn ready(&self) -> Result<(), Error> {
-        if self.broken {
-            return Err(Error::Store {
-                detail: format!(
-                    "log {} is broken by an earlier failed write; recover it before appending",
-                    self.path.display()
-                ),
-            });
-        }
-        Ok(())
+    /// Refuses once the log is broken, and, when `writing`, once its
+    /// session is closed too. The session checks this before it reads
+    /// or applies an event, and every record before it is written.
+    pub(crate) fn check(&self, writing: bool) -> Result<(), Error> {
+        let why = match (self.broken, self.closed && writing) {
+            (true, _) => "is broken by an earlier failed write",
+            (false, true) => "belongs to a closed session",
+            (false, false) => return Ok(()),
+        };
+        let path = self.path.display();
+        Err(Error::Store {
+            detail: format!("log {path} {why}; recover it to go on"),
+        })
     }
 
     /// Writes the `ev` record of the session's `events`-th event, synced
@@ -768,13 +767,13 @@ impl LogWriter {
     /// log-write site, bills its bytes and syncs if asked. Any failure
     /// marks the log broken.
     fn record(&mut self, record: &str, then_sync: bool) -> Result<(), Error> {
+        self.check(true)?;
         let out = self.write(record, then_sync);
         self.broken |= out.is_err();
         out
     }
 
     fn write(&mut self, record: &str, then_sync: bool) -> Result<(), Error> {
-        self.ready()?;
         let faults = self.faults.as_deref();
         if let Some(LogFault::Torn(cut)) = faults.map(|plan| plan.on_log_write(record.len())) {
             // A torn write: a strict prefix of the record reaches the file.
@@ -876,13 +875,6 @@ impl SessionStore {
         self.root.join(format!("{name}.log"))
     }
 
-    /// Syncs the store directory itself, making the entries of newly
-    /// created logs durable.
-    fn sync_root(&self) -> Result<(), Error> {
-        let dir = File::open(&self.root).map_err(|e| io_err("opening", &self.root, e))?;
-        sync(&dir, &self.root, self.faults.as_deref())
-    }
-
     /// A writer for log `name`, billing `service`.
     fn writer(&self, service: &ZigzagService, name: &str, path: PathBuf, file: File) -> LogWriter {
         LogWriter {
@@ -893,6 +885,7 @@ impl SessionStore {
             faults: self.faults.clone(),
             stats: service.shared_store_stats(),
             broken: false,
+            closed: false,
         }
     }
 
@@ -928,7 +921,9 @@ impl SessionStore {
             .map_err(|e| io_err("writing log header", &path, e))?;
         if self.config.fsync == FsyncPolicy::Always {
             sync(&file, &path, self.faults.as_deref())?;
-            self.sync_root()?;
+            // The store directory too, so the new log's entry is durable.
+            let root = File::open(&self.root).map_err(|e| io_err("opening", &self.root, e))?;
+            sync(&root, &self.root, self.faults.as_deref())?;
         }
         service
             .store_stats()
@@ -1726,6 +1721,73 @@ mod tests {
         let store = SessionStore::open(&dir, config).unwrap();
         let rec = store.recover(&service, "feed").unwrap();
         assert!(rec.from_checkpoint && rec.restored_events == 2, "{rec:?}");
+    }
+
+    #[test]
+    fn a_closed_sessions_handle_cannot_write_the_reattached_log() {
+        let run = fig_run();
+        let events = events_of(&run);
+        let dir = tmpdir("close-retires");
+        let service = ZigzagService::new();
+        let store = SessionStore::open(&dir, StoreConfig::new().snapshot_every(4)).unwrap();
+        let id = store
+            .open_stream(
+                &service,
+                "feed",
+                run.context_arc(),
+                run.horizon(),
+                coord_config(),
+            )
+            .unwrap();
+
+        // A second handle appends until `close` retires the writer: every
+        // append it saw acknowledged is in the log the sweep reattaches.
+        let stale = service.live(id).unwrap();
+        let acked = std::thread::scope(|scope| {
+            let feeder = scope.spawn(|| {
+                events
+                    .iter()
+                    .take_while(|ev| stale.append(ev).is_ok())
+                    .count()
+            });
+            service.close(id).unwrap();
+            feeder.join().unwrap()
+        });
+        let swept = store.recover_all(&service).unwrap();
+        let [(name, rec)] = swept.as_slice() else {
+            panic!("the sweep reattaches one log: {swept:?}");
+        };
+        assert_eq!(name, "feed");
+        assert_eq!(rec.restored_events + rec.replayed_events, acked as u64);
+
+        // The old handle is refused, writes nothing, and the reattached
+        // session is the log's only writer.
+        let path = store.log_path("feed");
+        let before = fs::read(&path).unwrap();
+        for out in [
+            stale
+                .append(&events[acked.min(events.len() - 1)])
+                .map(|_| ()),
+            stale.checkpoint(),
+        ] {
+            assert!(
+                matches!(&out, Err(Error::Store { detail }) if detail.contains("closed")),
+                "got {out:?}"
+            );
+        }
+        assert_eq!(fs::read(&path).unwrap(), before);
+        for ev in &events[acked..] {
+            store.append(&service, rec.id, ev).unwrap();
+        }
+        drop((service, stale));
+        let service = ZigzagService::new();
+        let rec = store.recover(&service, "feed").unwrap();
+        assert!(!rec.truncated, "{rec:?}");
+        assert_eq!(
+            rec.restored_events + rec.replayed_events,
+            events.len() as u64
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -243,6 +243,7 @@ fn a_failed_log_write_refuses_later_appends_until_recovery() {
         let out = store.append(&service, id, &events[0]);
         assert!(is_store_error(&out), "{what}: got {out:?}");
         assert_eq!(plan.injected(), 1, "{what}");
+        let log = std::fs::read(store.log_path("feed")).unwrap();
         for ev in &events[1..] {
             let out = store.append(&service, id, ev);
             assert!(
@@ -251,10 +252,16 @@ fn a_failed_log_write_refuses_later_appends_until_recovery() {
             );
         }
         assert_eq!(
-            service.event_count(id).unwrap(),
-            1,
-            "{what}: a refused append was applied"
+            std::fs::read(store.log_path("feed")).unwrap(),
+            log,
+            "{what}: a refused append was logged"
         );
+        // The session holds the failed event, which its log may lack, so
+        // it refuses reads as well until recovery.
+        let count = service.event_count(id);
+        assert!(is_store_error(&count), "{what}: got {count:?}");
+        let out = service.dispatch(id, &Query::EventCount);
+        assert!(is_store_error(&out), "{what}: got {out:?}");
 
         // Recovery keeps what reached the file, and appending resumes.
         service.close(id).unwrap();

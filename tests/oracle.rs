@@ -1118,8 +1118,9 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// Kill-at-every-append-boundary oracle under concurrent serving: while
-/// the main thread appends through the supervised wire path
-/// (`Query::Append` → durable store) and crash-recovers at every
+/// the main thread appends through the wire path (`Query::Append`
+/// reaches the durable session's own log through
+/// `ZigzagService::append`) and crash-recovers at every
 /// boundary, a second thread hammers the *live* service with queries.
 /// Required: the querier only ever sees success or a typed error —
 /// never `Error::Internal` (a poisoned lock or caught panic escaping) —
@@ -1188,8 +1189,8 @@ fn concurrent_queries_never_poison_recovery_at_any_boundary() {
     let mut next_idx = [0u32; 4];
     let mut prefix_nodes: Vec<NodeId> = Vec::new();
     for (k, ev) in events.iter().enumerate() {
-        // Append through the supervised wire path, so the durable hook
-        // itself runs under concurrency.
+        // Append through the wire path, so the durable session's own
+        // log write runs under concurrency.
         let appended = writer
             .dispatch(id, &Query::Append(Box::new(ev.clone())))
             .unwrap();
